@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import fixtures as fixtures_mod
@@ -34,6 +33,8 @@ from .index import (
     orbit_set_from_dict,
     topo_types,
 )
+# perfbench/tracing.py wraps the suite under this name
+from .fixtures import invariant_suite as _invariant_suite
 from .linear import expr_str
 from .partitions import partition_orbit, s_theta
 
@@ -262,14 +263,7 @@ def _fixture_rows(result) -> list[dict]:
 def cmd_verify_cases(args) -> int:
     registry = fixtures_mod.load_registry()
     names = [args.fixture] if args.fixture else fixtures_mod.fixture_names(registry)
-    workers = max(1, args.workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda n: fixtures_mod.run_fixture(n, registry), names))
-    else:
-        results = [fixtures_mod.run_fixture(n, registry) for n in names]
-    results.sort(key=lambda r: r.name)
+    results = [fixtures_mod.run_fixture(n, registry) for n in names]
     ok = all(r.ok for r in results)
     payload = {
         "command": "verify-cases",
@@ -358,85 +352,14 @@ def cmd_transitions_chains(args) -> int:
     return 0
 
 
-def _invariant_suite() -> list[tuple[str, bool]]:
-    """Fast deterministic spot checks of the structural laws."""
-    import random
-
-    from .exactreal import ExactReal
-    from .index import floor_step
-    from .partitions import partition_in
-    from .transitions import f_grid
-
-    rng = random.Random(20260810)
-    checks: list[tuple[str, bool]] = []
-
-    def random_theta():
-        d = rng.choice([2, 3, 5, 6, 7, 10, 11, 13])
-        b = rng.choice([-3, -2, -1, 1, 2, 3])
-        a = rng.randrange(-9, 10)
-        c = rng.randrange(1, 7)
-        x = ExactReal(a, b, c, d)
-        return x - ExactReal(x.floor())
-
-    ok_sets = True
-    for _ in range(6):
-        theta = random_theta()
-        qmax = 240
-        pos = s_theta(theta, qmax).members
-        neg = set(s_theta(-theta, qmax).members)
-        gaps = [b - a for a, b in zip(pos, pos[1:])]
-        ok_sets &= all(x <= y for x, y in zip(gaps, gaps[1:]))
-        ok_sets &= all(g in neg for g in gaps if g <= qmax)
-        ok_sets &= (set(pos) & neg) == {1}
-        ok_sets &= all(b - a != a for a, b in zip(pos, pos[1:]) if a > 1)
-    checks.append(("gap/intersection/successor laws", ok_sets))
-
-    ok_part = True
-    for _ in range(4):
-        theta = random_theta()
-        members = set(s_theta(theta, 150).members)
-        for m in range(0, 150, 7):
-            part = partition_in(theta, m)
-            ok_part &= part.total == m
-            ok_part &= all(e in members for e in part.entries)
-    checks.append(("partition totals and membership", ok_part))
-
-    ok_step = True
-    for _ in range(6):
-        theta = random_theta()
-        neg = s_theta(-theta, 300).members
-        for p_i, p_next in zip(neg, neg[1:]):
-            for n in range(p_i, p_next + 1):
-                want = 1 if n == p_next else 0
-                ok_step &= floor_step(theta, p_i, p_next, n) == want
-    checks.append(("grading step law", ok_step))
-
-    ok_grid = True
-    r, eps = Fraction(1), Fraction(1, 100)
-    for num in range(0, 30):
-        x = Fraction(num, 24)
-        g = f_grid(x, r, eps)
-        if g is not None:
-            ok_grid &= f_grid(g, r, eps) == g
-    checks.append(("grid map idempotence", ok_grid))
-    return checks
-
-
 def cmd_verify_all(args) -> int:
     status = 0
     table = []
     payload: dict = {"command": "verify-all"}
 
     registry = fixtures_mod.load_registry()
-    names = fixtures_mod.fixture_names(registry)
-    workers = max(1, args.workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda n: fixtures_mod.run_fixture(n, registry), names))
-    else:
-        results = [fixtures_mod.run_fixture(n, registry) for n in names]
-    results.sort(key=lambda r: r.name)
+    results = [fixtures_mod.run_fixture(n, registry)
+               for n in fixtures_mod.fixture_names(registry)]
     fixtures_ok = all(r.ok for r in results)
     payload["fixtures"] = {r.name: r.ok for r in results}
     table.append(f"case fixtures: {'ok' if fixtures_ok else 'MISMATCH'} "
@@ -456,7 +379,7 @@ def cmd_verify_all(args) -> int:
     if not pairs_ok:
         status = 1
 
-    chains = trans_mod.chain_check()
+    chains = trans_mod.chain_check(rep.allowed)
     n_feasible = len(chains.feasible_triples)
     payload["chains"] = {
         "examined": len(chains.rows),
@@ -566,11 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_verify_cases)
     q.add_argument("--json", action="store_true", default=default_json)
     q.add_argument("--fixture")
-    q.add_argument("--workers", type=int, default=1)
     q = ver_sub.add_parser("all")
     q.set_defaults(fn=cmd_verify_all)
     q.add_argument("--json", action="store_true", default=default_json)
-    q.add_argument("--workers", type=int, default=1)
 
     p_tr = sub.add_parser("transitions", help="pair and chain compatibility")
     tr_sub = p_tr.add_subparsers(dest="subcommand", required=True)

@@ -231,39 +231,30 @@ def _member_facts(system: RelationSystem, elim: Eliminator) -> list[Ineq]:
     return [f for f in facts if f.expr]
 
 
-def _forced_nonpositive(system, elim, reduced: LinExpr) -> bool:
+def _forced_nonpositive(system, facts: list[Ineq], reduced: LinExpr) -> bool:
     """True when reduced > 0 is impossible given member order facts alone."""
     kinds = {system.symbols[s].kind for s in reduced if s != CONST}
     if kinds & {ACTION, COUNT}:
         return False  # a free action/count leaves the sign undetermined
-    ineqs = _member_facts(system, elim) + [Ineq(dict(reduced), strict=True)]
+    ineqs = facts + [Ineq(dict(reduced), strict=True)]
     variables = sorted({s for iq in ineqs for s in iq.expr if s != CONST})
     return not fm_solve(ineqs, variables).feasible
 
 
 def solve(system: RelationSystem) -> Verdict:
-    """Decide the eps->0 limit of the system exactly."""
+    """Decide the eps->0 limit of the system exactly.
+
+    Every side-constraint rule that fires is detected, and the verdict is the
+    first of them in `_RULE_PRIORITY` order (ties go to the earlier check).
+    A certificate, with its combination and eps bound, is built only for the
+    verdict returned; a check that could not beat the rule already found is
+    skipped.
+    """
     system.validate()
     order = _elimination_order(system.symbols)
     elim = Eliminator(order)
     for r in system.relations:
         elim.add(dict(r.coeffs), r.label)
-
-    def derived(expr: LinExpr) -> tuple[LinExpr, LinExpr, dict]:
-        """Reduce expr; return (reduced, equation-in-rowspace, combo)."""
-        row = elim.reduce_row(Row(dict(expr), {}))
-        equation = sub_expr(dict(expr), row.expr)
-        combo = {k: -v for k, v in row.combo.items()}
-        return row.expr, equation, combo
-
-    def cert(rule, equation, combo, human) -> Infeasible:
-        eps = sum(
-            (abs(c) * next((r.eps_multiple for r in system.relations
-                            if r.label == l), Fraction(0))
-             for l, c in combo.items()),
-            Fraction(0),
-        )
-        return Infeasible(Certificate(rule, equation, dict(combo), eps, human))
 
     if elim.inconsistent is not None:
         row = elim.inconsistent
@@ -278,41 +269,51 @@ def solve(system: RelationSystem) -> Verdict:
         )
 
     diseqs = _auto_disequalities(system)
-    found: list[Infeasible] = []
+    facts = _member_facts(system, elim)
+    best = None  # (rank, rule, expr, human) of the winning rule so far
+
+    def fire(rule: str, expr: LinExpr, human: str):
+        nonlocal best
+        best = (_rule_rank(rule), rule, expr, human)
+
+    def beats(rule: str) -> bool:
+        return best is None or _rule_rank(rule) < best[0]
+
+    def check(expr, zero_rule, zero_human, nonpos_rule, nonpos_name):
+        if not beats(zero_rule):  # each zero rule ranks above its nonpositive rule
+            return
+        reduced = elim.reduce_expr(expr)
+        if not reduced:
+            fire(zero_rule, expr, zero_human)
+        elif beats(nonpos_rule) and _forced_nonpositive(system, facts, reduced):
+            fire(nonpos_rule, expr,
+                 f"{nonpos_name} = {expr_str(reduced)} cannot be positive")
 
     for d in diseqs:
-        reduced, equation, combo = derived(dict(d.coeffs))
-        if not reduced:
-            found.append(
-                cert(d.rule, equation, combo,
-                     f"relations force {expr_str(d.coeffs)} = 0")
-            )
-
+        if beats(d.rule) and not elim.reduce_expr(d.coeffs):
+            fire(d.rule, d.coeffs, f"relations force {expr_str(d.coeffs)} = 0")
     for name in order:
         s = system.symbols[name]
         kind_rule = {ACTION: "action", MEMBER: "member",
                      SUCCESSOR: "member", COUNT: "count"}[s.kind]
-        reduced, equation, combo = derived(lin({name: 1}))
-        if not reduced:
-            found.append(cert(f"{kind_rule}_zero", equation, combo,
-                              f"{name} is forced to vanish"))
-        elif _forced_nonpositive(system, elim, reduced):
-            found.append(cert(f"{kind_rule}_nonpositive", equation, combo,
-                              f"{name} = {expr_str(reduced)} cannot be positive"))
+        check(lin({name: 1}), f"{kind_rule}_zero", f"{name} is forced to vanish",
+              f"{kind_rule}_nonpositive", name)
         if s.kind == SUCCESSOR:
-            reduced, equation, combo = derived(lin({name: 1, s.base: -1}))
-            if not reduced:
-                found.append(cert("successor_equal", equation, combo,
-                                  f"{name} = {s.base} is forced"))
-            elif _forced_nonpositive(system, elim, reduced):
-                found.append(
-                    cert("successor_not_greater", equation, combo,
-                         f"{name} - {s.base} = {expr_str(reduced)} "
-                         "cannot be positive")
-                )
-    if found:
-        found.sort(key=lambda v: _rule_rank(v.certificate.rule))
-        return found[0]
+            check(lin({name: 1, s.base: -1}), "successor_equal",
+                  f"{name} = {s.base} is forced",
+                  "successor_not_greater", f"{name} - {s.base}")
+
+    if best is not None:
+        _, rule, expr, human = best
+        row = elim.reduce_row(Row(expr, {}))
+        eps_of: dict = {}
+        for r in system.relations:  # a repeated label takes its first multiple
+            eps_of.setdefault(r.label, r.eps_multiple)
+        combo = {k: -v for k, v in row.combo.items()}
+        eps = sum((abs(c) * eps_of.get(l, Fraction(0)) for l, c in combo.items()),
+                  Fraction(0))
+        return Infeasible(Certificate(rule, sub_expr(expr, row.expr),
+                                      combo, eps, human))
 
     ineqs = [Ineq(elim.reduce_expr(iq.expr), iq.strict, iq.label)
              for iq in _auto_inequalities(system)]
@@ -328,7 +329,7 @@ def solve(system: RelationSystem) -> Verdict:
                         c.expr if c else {}, {}, None, human)
         )
 
-    reduced_ds = [(d, elim.reduce_expr(dict(d.coeffs))) for d in diseqs]
+    reduced_ds = [(d, elim.reduce_expr(d.coeffs)) for d in diseqs]
     sample = res.sample
     if any(e and _eval(e, sample) == 0 for _, e in reduced_ds):
         sample = _avoid_disequalities(

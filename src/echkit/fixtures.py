@@ -6,16 +6,21 @@ each family.  The runner solves every case exactly and compares the result
 against the expected survivor table (and, where recorded, the expected
 solved actions).  A fixture with a `disjunction` family requires, case by
 case, that at least one disjunct be consistent for the case to survive.
+`invariant_suite` adds seeded spot checks of the structural laws of S(theta),
+partitions, the grading step and the grid map.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
+from . import index, partitions
+from .exactreal import ExactReal
 from .feasibility import (
     Disequality,
     Feasible,
@@ -27,6 +32,7 @@ from .feasibility import (
     solve,
 )
 from .linear import CONST, LinExpr
+from .transitions import f_grid
 
 
 def load_registry() -> dict:
@@ -194,3 +200,64 @@ def run_fixture(name: str, registry: dict | None = None) -> FixtureResult:
 def run_all(registry: dict | None = None) -> dict[str, FixtureResult]:
     registry = registry or load_registry()
     return {name: run_fixture(name, registry) for name in fixture_names(registry)}
+
+
+def invariant_suite() -> list[tuple[str, bool]]:
+    """Fast deterministic spot checks of the structural laws.
+
+    `s_theta`, `partition_in` and `floor_step` are looked up on their modules
+    at call time, so a wrapper installed there (a tracer) sees these calls.
+    """
+    rng = random.Random(20260810)
+    checks: list[tuple[str, bool]] = []
+
+    def random_theta():
+        d = rng.choice([2, 3, 5, 6, 7, 10, 11, 13])
+        b = rng.choice([-3, -2, -1, 1, 2, 3])
+        a = rng.randrange(-9, 10)
+        c = rng.randrange(1, 7)
+        x = ExactReal(a, b, c, d)
+        return x - ExactReal(x.floor())
+
+    ok_sets = True
+    for _ in range(6):
+        theta = random_theta()
+        qmax = 240
+        pos = partitions.s_theta(theta, qmax).members
+        neg = set(partitions.s_theta(-theta, qmax).members)
+        gaps = [b - a for a, b in zip(pos, pos[1:])]
+        ok_sets &= all(x <= y for x, y in zip(gaps, gaps[1:]))
+        ok_sets &= all(g in neg for g in gaps if g <= qmax)
+        ok_sets &= (set(pos) & neg) == {1}
+        ok_sets &= all(b - a != a for a, b in zip(pos, pos[1:]) if a > 1)
+    checks.append(("gap/intersection/successor laws", ok_sets))
+
+    ok_part = True
+    for _ in range(4):
+        theta = random_theta()
+        members = set(partitions.s_theta(theta, 150).members)
+        for m in range(0, 150, 7):
+            part = partitions.partition_in(theta, m)
+            ok_part &= part.total == m
+            ok_part &= all(e in members for e in part.entries)
+    checks.append(("partition totals and membership", ok_part))
+
+    ok_step = True
+    for _ in range(6):
+        theta = random_theta()
+        neg = partitions.s_theta(-theta, 300).members
+        for p_i, p_next in zip(neg, neg[1:]):
+            for n in range(p_i, p_next + 1):
+                want = 1 if n == p_next else 0
+                ok_step &= index.floor_step(theta, p_i, p_next, n) == want
+    checks.append(("grading step law", ok_step))
+
+    ok_grid = True
+    r, eps = Fraction(1), Fraction(1, 100)
+    for num in range(0, 30):
+        x = Fraction(num, 24)
+        g = f_grid(x, r, eps)
+        if g is not None:
+            ok_grid &= f_grid(g, r, eps) == g
+    checks.append(("grid map idempotence", ok_grid))
+    return checks

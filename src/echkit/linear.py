@@ -6,6 +6,12 @@ rational combination of input rows that produced it, so a contradiction can
 be replayed against the original system.  A small Fourier-Motzkin layer
 decides strict/nonstrict inequality systems and extracts a rational sample
 point on success.
+
+The eliminator keeps its pivot rows in reduced row echelon form: each pivot
+row has coefficient 1 on its own pivot symbol and holds no other pivot
+symbol.  Subtracting a pivot row therefore removes its pivot from the row
+being reduced and brings in only non-pivot symbols, so a single pass over
+the pivot symbols present at the start reduces a row completely.
 """
 
 from __future__ import annotations
@@ -53,6 +59,16 @@ def sub_expr(a: LinExpr, b: LinExpr) -> LinExpr:
     return add_expr(a, scale_expr(b, -1))
 
 
+def _sub_scaled(target: dict, src: dict, c) -> None:
+    """target -= c * src in place, dropping entries that cancel."""
+    for k, v in src.items():
+        s = target.get(k, Fraction(0)) - v * c
+        if s:
+            target[k] = s
+        elif k in target:
+            del target[k]
+
+
 def expr_is_zero(a: LinExpr) -> bool:
     return not a
 
@@ -82,14 +98,10 @@ class Row:
         return Row(scale_expr(self.expr, c), {k: v * c for k, v in self.combo.items()})
 
     def minus(self, other: "Row", c) -> "Row":
-        combo = dict(self.combo)
-        for k, v in other.combo.items():
-            s = combo.get(k, Fraction(0)) - v * c
-            if s:
-                combo[k] = s
-            elif k in combo:
-                del combo[k]
-        return Row(sub_expr(self.expr, scale_expr(other.expr, c)), combo)
+        expr, combo = dict(self.expr), dict(self.combo)
+        _sub_scaled(expr, other.expr, c)
+        _sub_scaled(combo, other.combo, c)
+        return Row(expr, combo)
 
 
 class Eliminator:
@@ -102,18 +114,20 @@ class Eliminator:
         self.inconsistent: Row | None = None
 
     def reduce_row(self, row: Row) -> Row:
-        changed = True
-        while changed:
-            changed = False
-            for sym in list(row.expr):
-                if sym in self.pivots:
-                    row = row.minus(self.pivots[sym], row.expr[sym])
-                    changed = True
-                    break
-        return row
+        """Subtract the pivot rows of the pivot symbols in row, in key order."""
+        expr, combo = dict(row.expr), dict(row.combo)
+        for sym in [s for s in expr if s in self.pivots]:
+            prow, c = self.pivots[sym], expr[sym]
+            _sub_scaled(expr, prow.expr, c)
+            _sub_scaled(combo, prow.combo, c)
+        return Row(expr, combo)
 
     def reduce_expr(self, e: LinExpr) -> LinExpr:
-        return self.reduce_row(Row(dict(e), {})).expr
+        """reduce_row(Row(e, {})).expr, without tracking a combination."""
+        expr = dict(e)
+        for sym in [s for s in expr if s in self.pivots]:
+            _sub_scaled(expr, self.pivots[sym].expr, expr[sym])
+        return expr
 
     def add(self, expr: LinExpr, label: str):
         row = self.reduce_row(Row(dict(expr), {label: Fraction(1)}))

@@ -547,27 +547,37 @@ class ChainReport:
         return [r for r in self.rows if r.verdict.feasible]
 
 
-def chain_check() -> ChainReport:
+def chain_check(allowed: list[tuple[str, str]] | None = None) -> ChainReport:
     """Probe every chain of two engine-allowed pairs at full depth.
 
-    A feasible triple is reported verbatim (it would mean the encoded
-    constraints are too coarse to forbid a third consecutive step), never
-    suppressed.
+    `allowed` defaults to `allowed_pairs()`; a caller that already holds a
+    pair report passes its allowed pairs.  Each middle set is probed once,
+    however many triples share it.  A feasible triple is reported verbatim
+    (it would mean the encoded constraints are too coarse to forbid a third
+    consecutive step), never suppressed.
     """
-    allowed = allowed_pairs()
+    if allowed is None:
+        allowed = allowed_pairs()
     starts = {}
     for a, b in allowed:
         starts.setdefault(a, []).append(b)
+    probes: dict[tuple[str, str], Verdict] = {}
+
+    def probe(a: str, b: str) -> Verdict:
+        if (a, b) not in probes:
+            probes[a, b] = compatible(a, b, full=True)
+        return probes[a, b]
+
     rows = []
     for (t1, t2) in allowed:
         for t3 in starts.get(t2, ()):
             verdict: Verdict | None = None
             decided = "joint"
-            m1 = compatible(t1, t2, full=True)
+            m1 = probe(t1, t2)
             if not m1.feasible:
                 verdict, decided = m1, "middle1"
             else:
-                m2 = compatible(t2, t3, full=True)
+                m2 = probe(t2, t3)
                 if not m2.feasible:
                     verdict, decided = m2, "middle2"
             if verdict is None:

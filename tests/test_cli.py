@@ -1,10 +1,28 @@
 """End-to-end checks of the command-line interface."""
 
+import contextlib
+import hashlib
+import io
 import json
 
 import pytest
 
 from echkit.cli import main
+
+TABLE_COMMANDS = {
+    "verify_all": ("verify", "all"),
+    "pairs": ("transitions", "pairs"),
+    "chains": ("transitions", "chains"),
+}
+
+# sha256 of each command's --json output (the digests in perfbench/README.md).
+# A change that alters a verdict on purpose updates them and says why in
+# CHANGES.md.
+TABLE_DIGESTS = {
+    "verify_all": "be839241c50276bc766bce2dccf7540db5ef1f522a639bf20ce9af31de4d86d3",
+    "pairs": "6805dc675cfec61cdb6a9c6793262d94354a676e8b87328922ee66493f2aeeb7",
+    "chains": "3565af9d5b97d85c977a95907526bd2c4fd317a4e2266d65a6c116173944e346",
+}
 
 
 def run(capsys, *argv):
@@ -16,6 +34,26 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv, "--json")
     return code, json.loads(out), out
+
+
+def run_captured(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def table_output():
+    """(exit code, raw --json output) of a tables command, run once per module."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cache[name] = run_captured(*TABLE_COMMANDS[name], "--json")
+        return cache[name]
+
+    return get
 
 
 class TestBasics:
@@ -135,26 +173,32 @@ class TestVerify:
         code = main(["verify", "cases", "--fixture", "nope"])
         assert code == 2
 
-    def test_all_deterministic_across_workers(self, capsys):
-        code1, _, raw1 = run_json(capsys, "verify", "all", "--workers", "1")
-        code2, _, raw2 = run_json(capsys, "verify", "all", "--workers", "4")
-        assert code1 == code2 == 0
-        assert raw1 == raw2
+    def test_all_deterministic(self, table_output):
+        code, raw = run_captured("verify", "all", "--json")
+        assert code == 0
+        assert (code, raw) == table_output("verify_all")
 
 
 class TestTransitionsCommands:
-    def test_pairs(self, capsys):
-        code, data, _ = run_json(capsys, "transitions", "pairs")
+    def test_pairs(self, table_output):
+        code, raw = table_output("pairs")
+        data = json.loads(raw)
         assert code == 0 and data["ok"]
         assert len(data["allowed"]) == 12
         assert len(data["excluded"]) == 24
         assert data["deviations"] == []
 
-    def test_chains(self, capsys):
-        code, data, _ = run_json(capsys, "transitions", "chains")
+    def test_chains(self, table_output):
+        code, raw = table_output("chains")
+        data = json.loads(raw)
         assert code == 0
         assert data["triples_examined"] == 8
         assert data["feasible_triples"] == []
+
+    def test_golden_digests(self, table_output):
+        digests = {name: hashlib.sha256(table_output(name)[1].encode()).hexdigest()
+                   for name in TABLE_COMMANDS}
+        assert digests == TABLE_DIGESTS
 
 
 class TestJsonRoundTrip:

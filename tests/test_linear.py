@@ -1,0 +1,115 @@
+"""Properties of the elimination kernel on random small relation systems."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from echkit.feasibility import Infeasible, Relation, RelationSystem, Sym, solve
+from echkit.linear import CONST, Eliminator, Row, scale_expr, sub_expr
+
+SYMS = ["a", "b", "c", "d", "e"]
+LABELS = [f"r{i}" for i in range(6)]
+
+coeff = st.builds(
+    Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3)
+)
+exprs = st.dictionaries(st.sampled_from(SYMS + [CONST]), coeff,
+                        min_size=1, max_size=4)
+combos = st.dictionaries(st.sampled_from(LABELS), coeff, max_size=3)
+rows = st.builds(Row, exprs, combos)
+systems = st.lists(exprs, min_size=1, max_size=6)
+
+
+def reduce_by_rescan(elim: Eliminator, row: Row) -> Row:
+    """Reference reduction: restart the scan after every subtraction."""
+    changed = True
+    while changed:
+        changed = False
+        for sym in list(row.expr):
+            if sym in elim.pivots:
+                row = row.minus(elim.pivots[sym], row.expr[sym])
+                changed = True
+                break
+    return row
+
+
+def eliminate(exs) -> list[Eliminator]:
+    """The eliminator after each add, one snapshot per step."""
+    elim = Eliminator(SYMS)
+    snapshots = []
+    for i, e in enumerate(exs):
+        elim.add(e, LABELS[i])
+        snap = Eliminator(SYMS)
+        snap.pivots = dict(elim.pivots)
+        snapshots.append(snap)
+    return snapshots
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems)
+def test_pivot_rows_stay_in_rref(exs):
+    for elim in eliminate(exs):
+        for p, row in elim.pivots.items():
+            assert row.expr[p] == 1
+            assert not (set(row.expr) & set(elim.pivots)) - {p}
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems, rows)
+def test_single_pass_reduction_matches_rescan(exs, row):
+    elim = eliminate(exs)[-1]
+    got = elim.reduce_row(row)
+    want = reduce_by_rescan(elim, row)
+    assert list(got.expr.items()) == list(want.expr.items())
+    assert list(got.combo.items()) == list(want.combo.items())
+    assert not set(got.expr) & set(elim.pivots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems, exprs)
+def test_reduce_expr_is_reduce_row_without_combo(exs, e):
+    elim = eliminate(exs)[-1]
+    got = elim.reduce_expr(e)
+    assert list(got.items()) == list(elim.reduce_row(Row(e, {})).expr.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows, rows, st.one_of(coeff, st.just(Fraction(0))))
+def test_minus_matches_scale_then_subtract(r1, r2, c):
+    got = r1.minus(r2, c)
+    assert list(got.expr.items()) == list(
+        sub_expr(r1.expr, scale_expr(r2.expr, c)).items())
+    assert list(got.combo.items()) == list(
+        sub_expr(r1.combo, scale_expr(r2.combo, c)).items())
+
+
+ENGINE_SYMS = {
+    "P": Sym("P", "s_member", integer=True),
+    "Pn": Sym("Pn", "s_successor", base="P", integer=True),
+    "D1": Sym("D1", "action"),
+    "D2": Sym("D2", "action"),
+    "k": Sym("k", "count", integer=True),
+}
+engine_exprs = st.dictionaries(st.sampled_from(list(ENGINE_SYMS) + [CONST]),
+                               coeff, min_size=1, max_size=4)
+eps_multiples = st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(engine_exprs, eps_multiples), min_size=1, max_size=5))
+def test_infeasible_certificates_replay(rels):
+    relations = [Relation(e, LABELS[i], m) for i, (e, m) in enumerate(rels)]
+    v = solve(RelationSystem(dict(ENGINE_SYMS), relations))
+    if not isinstance(v, Infeasible) or not v.certificate.combo:
+        return
+    cert = v.certificate
+    by_label = {r.label: r for r in relations}
+    total: dict = {}
+    for label, c in cert.combo.items():
+        total = sub_expr(total, scale_expr(by_label[label].coeffs, -c))
+    assert total == cert.equation
+    if cert.eps_bound is not None:
+        assert cert.eps_bound == sum(
+            (abs(c) * by_label[l].eps_multiple for l, c in cert.combo.items()),
+            Fraction(0))
