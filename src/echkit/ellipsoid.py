@@ -12,8 +12,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .exactreal import ExactReal
+from .exactreal import ExactReal, _sign
 from .index import OrbitCatalog, OrbitSet, action as orbit_action
 from .partitions import s_theta
 
@@ -52,34 +53,44 @@ class Generator:
             raise ValueError("generator exponents must be nonnegative")
 
 
-class _HeapItem:
-    __slots__ = ("val", "m", "n")
+class _Point:
+    """Frontier lattice point (m, n) with value (x + y*sqrt(d))/den; every
+    point of one heap shares d and den.  m is not kept: only n decides the
+    pushes."""
 
-    def __init__(self, val: ExactReal, m: int, n: int):
-        self.val, self.m, self.n = val, m, n
+    __slots__ = ("x", "y", "d", "n")
 
-    def __lt__(self, other: "_HeapItem") -> bool:
-        return self.val < other.val
+    def __init__(self, x: int, y: int, d: int, n: int):
+        self.x, self.y, self.d, self.n = x, y, d, n
+
+    def __lt__(self, other: "_Point") -> bool:
+        return _sign(self.x - other.x, self.y - other.y, self.d) < 0
 
 
 def capacities(e: Ellipsoid, kmax: int) -> list[ExactReal]:
     """The first kmax+1 values of the sorted multiset {m*a + n*b}.
 
     Frontier heap over lattice points; each (m, n) is pushed exactly once
-    ((m, n+1) always, (m+1, 0) only from n == 0).  Comparisons are exact, so
-    ties in the rational-ratio case keep their multiplicities.
+    ((m, n+1) always, (m+1, 0) only from n == 0).  a and b are put over one
+    denominator and one radicand d, so a point is a pair of integers and a
+    push is integer addition.  Comparisons are exact, so ties in the
+    rational-ratio case keep their multiplicities.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    zero = ExactReal(0)
-    heap = [_HeapItem(zero, 0, 0)]
+    a, b = e.a, e.b
+    d = a._common_d(b)
+    den = lcm(a.c, b.c)
+    ax, ay = a.a * (den // a.c), a.b * (den // a.c)
+    bx, by = b.a * (den // b.c), b.b * (den // b.c)
+    heap = [_Point(0, 0, d, 0)]
     out: list[ExactReal] = []
     while len(out) <= kmax:
-        item = heapq.heappop(heap)
-        out.append(item.val)
-        heapq.heappush(heap, _HeapItem(item.val + e.b, item.m, item.n + 1))
-        if item.n == 0:
-            heapq.heappush(heap, _HeapItem(item.val + e.a, item.m + 1, 0))
+        p = heapq.heappop(heap)
+        out.append(ExactReal(p.x, p.y, den, d))
+        heapq.heappush(heap, _Point(p.x + bx, p.y + by, d, p.n + 1))
+        if p.n == 0:
+            heapq.heappush(heap, _Point(p.x + ax, p.y + ay, d, 0))
     return out
 
 

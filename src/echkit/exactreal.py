@@ -10,7 +10,7 @@ index parity) must be exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -30,13 +30,20 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, f * n
 
 
-def _gcd(*xs: int) -> int:
-    g = 0
-    for x in xs:
-        while x:
-            g, x = x, g % x
-        g = abs(g)
-    return g
+def _sign(a: int, b: int, d: int) -> int:
+    """Exact sign of a + b*sqrt(d), for squarefree d (d == 1 needs b == 0)."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # opposite signs: compare a^2 with b^2 d (never equal: d squarefree > 1)
+    if a * a > b * b * d:
+        return 1 if a > 0 else -1
+    return 1 if b > 0 else -1
 
 
 class ExactReal:
@@ -61,7 +68,7 @@ class ExactReal:
             a, b, d = a + b, 0, 1
         if c < 0:
             a, b, c = -a, -b, -c
-        g = _gcd(a, b, c)
+        g = gcd(a, b, c)
         if g > 1:
             a, b, c = a // g, b // g, c // g
         self.a, self.b, self.c, self.d = a, b, c, d
@@ -178,19 +185,7 @@ class ExactReal:
 
     def _sign(self) -> int:
         """Exact sign of the value (c > 0, so the sign of a + b*sqrt(d))."""
-        a, b, d = self.a, self.b, self.d
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 d (never equal: d squarefree > 1)
-        if a * a > b * b * d:
-            return 1 if a > 0 else -1
-        return 1 if b > 0 else -1
+        return _sign(self.a, self.b, self.d)
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echkit.ellipsoid import (
     Ellipsoid,
@@ -20,6 +22,39 @@ from echkit.ellipsoid import (
 from echkit.exactreal import ExactReal, parse_real
 from echkit.index import FiniteAbelianGroup, OrbitCatalog, SimpleOrbit
 from oracles import capacities_bruteforce, lattice_bruteforce
+
+# rationals over unequal denominators: ratios are rational, so values tie
+RATIONALS = st.builds(Fraction, st.integers(1, 12), st.integers(1, 9)).map(
+    ExactReal.from_fraction)
+# surds whose rational part is negative
+NEG_PART_SURDS = st.sampled_from(["sqrt(2)-1", "2-sqrt(3)", "(3-sqrt(5))/2"]).map(
+    parse_real)
+
+
+def _same_d_pairs():
+    """Both parameters irrational over one radicand, ratio sometimes rational."""
+    def positive(d):
+        return st.builds(ExactReal, st.integers(-6, 6),
+                         st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                         st.integers(1, 5), st.just(d)).filter(lambda x: x > 0)
+
+    def pairs(d):
+        x = positive(d)
+        return st.one_of(st.tuples(x, x),
+                         st.tuples(x, RATIONALS).map(lambda t: (t[0], t[0] * t[1])))
+
+    return st.sampled_from([2, 3, 5]).flatmap(pairs)
+
+
+def _either_order(pair):
+    return st.sampled_from([pair, pair[::-1]])
+
+
+ELLIPSOID_PARAMS = st.one_of(
+    st.tuples(RATIONALS, RATIONALS),
+    st.tuples(NEG_PART_SURDS, RATIONALS).flatmap(_either_order),
+    _same_d_pairs(),
+)
 
 E_ROUND = Ellipsoid.of(1, 1)
 E_IRR = Ellipsoid(ExactReal(1), ExactReal.sqrt(2))
@@ -51,6 +86,21 @@ class TestCapacities:
     def test_matches_bruteforce(self, a, b):
         e = Ellipsoid(a, b)
         assert capacities(e, 400) == capacities_bruteforce(a, b, 400)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ELLIPSOID_PARAMS, st.integers(0, 300))
+    def test_matches_bruteforce_property(self, ab, k):
+        a, b = ab
+        caps = capacities(Ellipsoid(a, b), k)
+        assert caps == capacities_bruteforce(a, b, k)
+        for v in caps:
+            w = ExactReal(v.a, v.b, v.c, v.d)
+            assert (v.a, v.b, v.c, v.d) == (w.a, w.b, w.c, w.d)
+
+    def test_mixed_radicands_rejected(self):
+        e = Ellipsoid(ExactReal.sqrt(2), ExactReal.sqrt(3))
+        with pytest.raises(ValueError, match="cannot mix"):
+            capacities(e, 1)
 
 
 class TestGenIndex:

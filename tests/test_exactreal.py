@@ -3,18 +3,20 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echkit.exactreal import (
     ExactReal,
+    _sign,
     ceil_mul,
     cmp_ceil_fractions,
     floor_mul,
     parse_real,
 )
-from oracles import decimal_floor, random_surd
+from oracles import decimal_floor, random_surd, to_mpf
 
 SQRT2M1 = parse_real("sqrt(2)-1")
 
@@ -83,6 +85,39 @@ class TestFloorCeil:
             theta = random_surd(rng, unit_interval=False)
             q = rng.randrange(1, 2000)
             assert floor_mul(q, theta) == decimal_floor(q, theta)
+
+
+def _mp_sign(a: int, b: int, d: int) -> int:
+    with mpmath.workdps(300):
+        v = to_mpf(ExactReal(a, b, 1, d))
+        return (v > 0) - (v < 0)
+
+
+def _pell_pairs():
+    """(x, y, d) with x^2 - d*y^2 = +-1 and x of 30+ digits."""
+    for d, x1, y1 in ((2, 1, 1), (3, 2, 1), (5, 2, 1), (7, 8, 3), (13, 18, 5)):
+        x, y = x1, y1
+        while x < 10**30:
+            x, y = x * x1 + d * y * y1, x * y1 + y * x1
+        assert abs(x * x - d * y * y) == 1
+        yield x, y, d
+
+
+class TestSign:
+    def test_zero(self):
+        assert _sign(0, 0, 1) == 0
+        assert _sign(0, 0, 7) == 0
+
+    @pytest.mark.parametrize("x,y,d", list(_pell_pairs()))
+    def test_pell_near_ties(self, x, y, d):
+        for a, b in ((x, -y), (-x, y), (x + 1, -y), (x - 1, -y), (-x, y + 1)):
+            assert _sign(a, b, d) == _mp_sign(a, b, d)
+
+    @settings(max_examples=300)
+    @given(st.integers(-10**40, 10**40), st.integers(-10**20, 10**20),
+           st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13]))
+    def test_matches_mpmath(self, a, b, d):
+        assert _sign(a, b, d) == _mp_sign(a, b, d)
 
 
 class TestCmpCeilFractions:
