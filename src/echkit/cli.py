@@ -296,10 +296,9 @@ def cmd_verify_cases(args) -> int:
 
 def cmd_transitions_pairs(args) -> int:
     rep = trans_mod.pair_report()
-    ok = not rep.deviations and rep.mirror_symmetric()
     payload = {
         "command": "transitions-pairs",
-        "ok": ok,
+        "ok": rep.ok,
         "allowed": [list(p) for p in rep.allowed],
         "excluded": [list(p) for p in rep.excluded],
         "deviations": [list(p) for p in rep.deviations],
@@ -318,7 +317,7 @@ def cmd_transitions_pairs(args) -> int:
     if rep.deviations:
         table.append(f"DEVIATIONS from the transcribed table: {rep.deviations}")
     _emit(args, payload, table)
-    return 0 if ok else 1
+    return 0 if rep.ok else 1
 
 
 def cmd_transitions_chains(args) -> int:
@@ -371,12 +370,11 @@ def cmd_verify_all(args) -> int:
                 table.append(f"  MISMATCH in {r.name}")
 
     rep = trans_mod.pair_report()
-    pairs_ok = not rep.deviations and rep.mirror_symmetric()
-    payload["pairs"] = {"ok": pairs_ok,
+    payload["pairs"] = {"ok": rep.ok,
                         "allowed": [list(p) for p in rep.allowed]}
-    table.append(f"transition pairs: {'ok' if pairs_ok else 'MISMATCH'} "
+    table.append(f"transition pairs: {'ok' if rep.ok else 'MISMATCH'} "
                  f"({len(rep.excluded)} excluded / {len(rep.allowed)} allowed)")
-    if not pairs_ok:
+    if not rep.ok:
         status = 1
 
     chains = trans_mod.chain_check(rep.allowed)
@@ -417,18 +415,19 @@ def build_parser() -> argparse.ArgumentParser:
     default_json = os.environ.get("ECHKIT_OUTPUT", "table") == "json"
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    def leaf(parent, name, fn, **kw):
+        p = parent.add_parser(name, **kw)
         p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true", default=default_json,
                        help="emit canonical JSON")
         return p
 
-    p = add("stheta", cmd_stheta, help="best-approximation set of a rotation number")
+    p = leaf(sub, "stheta", cmd_stheta,
+             help="best-approximation set of a rotation number")
     p.add_argument("--theta", required=True)
     p.add_argument("--max", type=int, required=True)
 
-    p = add("partition", cmd_partition, help="end-multiplicity partition")
+    p = leaf(sub, "partition", cmd_partition, help="end-multiplicity partition")
     p.add_argument("--theta")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--dir", choices=["in", "out"], required=True)
@@ -436,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["elliptic", "positive_hyperbolic",
                             "negative_hyperbolic"])
 
-    p = add("cz", cmd_cz, help="grading of an iterated orbit")
+    p = leaf(sub, "cz", cmd_cz, help="grading of an iterated orbit")
     p.add_argument("--kind", default="elliptic",
                    choices=["elliptic", "positive_hyperbolic",
                             "negative_hyperbolic"])
@@ -444,33 +443,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cz", type=int)
     p.add_argument("--k", type=int, required=True)
 
-    p = add("index", cmd_index, help="gradings of a pair of orbit sets")
+    p = leaf(sub, "index", cmd_index, help="gradings of a pair of orbit sets")
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--c1", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
 
-    p = add("j0-types", cmd_j0_types, help="topological types at a given index")
+    p = leaf(sub, "j0-types", cmd_j0_types,
+             help="topological types at a given index")
     p.add_argument("--j0", type=int, required=True)
 
     p_ell = sub.add_parser("ellipsoid", help="model geometry E(a,b)")
     ell_sub = p_ell.add_subparsers(dest="subcommand", required=True)
-
-    def add_ell(name, fn):
-        q = ell_sub.add_parser(name)
-        q.set_defaults(fn=fn)
-        q.add_argument("--json", action="store_true", default=default_json)
-        return q
-
-    q = add_ell("caps", cmd_ellipsoid_caps)
+    q = leaf(ell_sub, "caps", cmd_ellipsoid_caps)
     q.add_argument("--a", required=True)
     q.add_argument("--b", required=True)
     q.add_argument("--k", type=int, required=True)
-    q = add_ell("volume", cmd_ellipsoid_volume)
+    q = leaf(ell_sub, "volume", cmd_ellipsoid_volume)
     q.add_argument("--a", required=True)
     q.add_argument("--b", required=True)
     q.add_argument("--k", type=int, required=True)
-    q = add_ell("density", cmd_ellipsoid_density)
+    q = leaf(ell_sub, "density", cmd_ellipsoid_density)
     q.add_argument("--catalog", required=True)
     q.add_argument("--max-action", required=True)
     q.add_argument("--gamma")
@@ -478,29 +471,22 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--e", help="comma-separated elliptic multiplicities")
     q.add_argument("--h", help="comma-separated hyperbolic counts")
 
-    p = add("lattice", cmd_lattice, help="lattice points strictly below a line")
+    p = leaf(sub, "lattice", cmd_lattice,
+             help="lattice points strictly below a line")
     p.add_argument("--s1", required=True)
     p.add_argument("--s2", required=True)
     p.add_argument("--t", required=True)
 
     p_ver = sub.add_parser("verify", help="re-derive the case tables")
     ver_sub = p_ver.add_subparsers(dest="subcommand", required=True)
-    q = ver_sub.add_parser("cases")
-    q.set_defaults(fn=cmd_verify_cases)
-    q.add_argument("--json", action="store_true", default=default_json)
+    q = leaf(ver_sub, "cases", cmd_verify_cases)
     q.add_argument("--fixture")
-    q = ver_sub.add_parser("all")
-    q.set_defaults(fn=cmd_verify_all)
-    q.add_argument("--json", action="store_true", default=default_json)
+    leaf(ver_sub, "all", cmd_verify_all)
 
     p_tr = sub.add_parser("transitions", help="pair and chain compatibility")
     tr_sub = p_tr.add_subparsers(dest="subcommand", required=True)
-    q = tr_sub.add_parser("pairs")
-    q.set_defaults(fn=cmd_transitions_pairs)
-    q.add_argument("--json", action="store_true", default=default_json)
-    q = tr_sub.add_parser("chains")
-    q.set_defaults(fn=cmd_transitions_chains)
-    q.add_argument("--json", action="store_true", default=default_json)
+    leaf(tr_sub, "pairs", cmd_transitions_pairs)
+    leaf(tr_sub, "chains", cmd_transitions_chains)
 
     return parser
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from .exactreal import ExactReal, _sign
-from .index import OrbitCatalog, OrbitSet, action as orbit_action
+from .index import OrbitCatalog, OrbitSet
 from .partitions import s_theta
 
 
@@ -103,14 +103,8 @@ def gen_index(e: Ellipsoid, g: Generator) -> int:
     """2 * (number of lattice points with i*a + j*b <= m*a + n*b, minus one)."""
     if not e.irrational_ratio:
         raise ValueError("degenerate ellipsoid: rational action ratio has ties")
-    v = e.a * g.m + e.b * g.n
-    count = 0
-    i = 0
-    while e.a * i <= v:
-        rem = v - e.a * i
-        count += (rem / e.b).floor() + 1
-        i += 1
-    return 2 * (count - 1)
+    # the ratio is irrational, so (m, n) is the only lattice point on the line
+    return 2 * lattice_count(e.a, e.b, e.a * g.m + e.b * g.n)
 
 
 def volume_ratio(e: Ellipsoid, k: int) -> float:
@@ -122,23 +116,16 @@ def volume_ratio(e: Ellipsoid, k: int) -> float:
 
 
 def _count_strictly_below(bound, step) -> int:
-    """#{t >= 0 : t*step < bound} for positive step, exact for exact types."""
+    """#{t >= 0 : t*step < bound} for positive step."""
     x = bound / step
-    if isinstance(x, ExactReal):
-        if x._sign() <= 0:
-            return 0
-        return x.floor() + (0 if x.is_integer() else 1)
-    if x <= 0:
+    if x._sign() <= 0:
         return 0
-    fl = x.__floor__()
-    return fl if x == fl else fl + 1
+    return x.floor() + (0 if x.is_integer() else 1)
 
 
 def lattice_count(s1, s2, t) -> int:
     """#{(t1, t2) in Z>=0^2 : t1*s1 + t2*s2 < t}; 0 when t <= 0."""
-    s1 = s1 if isinstance(s1, ExactReal) else Fraction(s1)
-    s2 = s2 if isinstance(s2, ExactReal) else Fraction(s2)
-    t = t if isinstance(t, ExactReal) else Fraction(t)
+    s1, s2, t = _as_exact(s1), _as_exact(s2), _as_exact(t)
     if s1 <= 0 or s2 <= 0:
         raise ValueError("steps must be positive")
     total = 0

@@ -149,8 +149,11 @@ class Feasible:
 
 Verdict = Infeasible | Feasible
 
+# which rule decides: within one solve (ties go to the earlier check), and
+# across the scenario systems of one pair or chain.  solve returns
+# contradictory_equations before it ranks anything, so its place matters only
+# across systems: bare arithmetic collapses rank last.
 _RULE_PRIORITY = [
-    "contradictory_equations",
     "cross_set",
     "member_zero",
     "member_nonpositive",
@@ -163,10 +166,11 @@ _RULE_PRIORITY = [
     "successor_not_greater",
     "incompatible_inequalities",
     "forced_disequality",
+    "contradictory_equations",
 ]
 
 
-def _rule_rank(rule: str) -> int:
+def rule_rank(rule: str) -> int:
     return _RULE_PRIORITY.index(rule) if rule in _RULE_PRIORITY else len(_RULE_PRIORITY)
 
 
@@ -274,10 +278,10 @@ def solve(system: RelationSystem) -> Verdict:
 
     def fire(rule: str, expr: LinExpr, human: str):
         nonlocal best
-        best = (_rule_rank(rule), rule, expr, human)
+        best = (rule_rank(rule), rule, expr, human)
 
     def beats(rule: str) -> bool:
-        return best is None or _rule_rank(rule) < best[0]
+        return best is None or rule_rank(rule) < best[0]
 
     def check(expr, zero_rule, zero_human, nonpos_rule, nonpos_name):
         if not beats(zero_rule):  # each zero rule ranks above its nonpositive rule

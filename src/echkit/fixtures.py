@@ -22,16 +22,14 @@ from importlib import resources
 from . import index, partitions
 from .exactreal import ExactReal
 from .feasibility import (
-    Disequality,
     Feasible,
-    Inequality,
     Relation,
     RelationSystem,
     Sym,
     Verdict,
     solve,
 )
-from .linear import CONST, LinExpr
+from .linear import LinExpr
 from .transitions import f_grid
 
 

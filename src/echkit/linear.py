@@ -69,10 +69,6 @@ def _sub_scaled(target: dict, src: dict, c) -> None:
             del target[k]
 
 
-def expr_is_zero(a: LinExpr) -> bool:
-    return not a
-
-
 def expr_str(a: LinExpr) -> str:
     if not a:
         return "0"
@@ -151,9 +147,6 @@ class Eliminator:
             row = self.pivots[sym]
             return scale_expr(sub_expr(row.expr, {sym: Fraction(1)}), -1)
         return {sym: Fraction(1)}
-
-    def free_symbols(self, symbols) -> list[str]:
-        return [s for s in symbols if s not in self.pivots]
 
 
 # -- Fourier-Motzkin ---------------------------------------------------------

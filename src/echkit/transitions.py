@@ -25,21 +25,20 @@ uses the full probes on both middle sets of a length-3 chain.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .feasibility import (
     COUNT,
     Disequality,
-    Feasible,
     Inequality,
-    Infeasible,
     MEMBER,
     Relation,
     RelationSystem,
     SUCCESSOR,
     Sym,
     Verdict,
+    rule_rank,
     solve,
 )
 from .linear import CONST, LinExpr, lin, sub_expr
@@ -224,84 +223,69 @@ def _side_view(t: str, idx: int, role: str) -> _SideView:
                      etas=etas, e_expr=e_expr, ratio=ratio(t))
 
 
-@dataclass
-class _Pieces:
-    relations: list[Relation] = field(default_factory=list)
-    inequalities: list[Inequality] = field(default_factory=list)
-    disequalities: list[Disequality] = field(default_factory=list)
+def _cross_set(expr: LinExpr) -> Disequality:
+    return Disequality(expr, rule="cross_set", label="cross_set")
 
 
-def _side_base(view: _SideView, e_sym: str) -> _Pieces:
-    p = _Pieces()
+def _side_base(view: _SideView, e_sym: str) -> list:
+    pieces = []
     if view.ratio is not None:
-        p.relations.append(
-            Relation(lin({view.bn: 1, view.b: -view.ratio}),
-                     f"{view.b}:ratio")
-        )
+        pieces.append(Relation(lin({view.bn: 1, view.b: -view.ratio}),
+                               f"{view.b}:ratio"))
     # elliptic multiplicity window: B < M < B'; all three are integers and M
     # is an elliptic count that never sits in the approximation set
-    p.inequalities.append(
+    pieces += [
         Inequality(lin({view.m: 1, view.b: -1, CONST: -1}),
-                   label=f"{view.m}>{view.b}")
-    )
-    p.inequalities.append(
+                   label=f"{view.m}>{view.b}"),
         Inequality(lin({view.bn: 1, view.m: -1, CONST: -1}),
-                   label=f"{view.m}<{view.bn}")
-    )
-    p.relations.append(
-        Relation(sub_expr(lin({e_sym: 1}), view.e_expr),
-                 f"{view.b}:E-link")
-    )
-    return p
+                   label=f"{view.m}<{view.bn}"),
+        Relation(sub_expr(lin({e_sym: 1}), view.e_expr), f"{view.b}:E-link"),
+    ]
+    return pieces
 
 
-def _pair_rules(v1: _SideView, v2: _SideView) -> list[list[tuple]]:
+def _pair_rules(v1: _SideView, v2: _SideView) -> list[list]:
     """Coherence branches between the member symbols of two side views.
 
-    Returns a list of branches; each branch is a list of pieces ("rel" or
-    "ineq" or "diseq", payload).  Same-set pairs branch on the order of the
-    two bases with successor monotonicity; opposite-set pairs forbid member
-    coincidences and split the gap-gap coincidence into "distinct" or
+    Returns a list of branches; each branch is a flat list of relations,
+    inequalities and disequalities.  Same-set pairs branch on the order of
+    the two bases with successor monotonicity; opposite-set pairs forbid
+    member coincidences and split the gap-gap coincidence into "distinct" or
     "both equal to 1".
     """
     if v1.tag == v2.tag:
         eq = [
-            ("rel", lin({v1.b: 1, v2.b: -1}), "bases-equal"),
-            ("rel", lin({v1.bn: 1, v2.bn: -1}), "successors-equal"),
+            Relation(lin({v1.b: 1, v2.b: -1}), "bases-equal"),
+            Relation(lin({v1.bn: 1, v2.bn: -1}), "successors-equal"),
         ]
         lt = [
-            ("ineq", lin({v2.b: 1, v1.b: -1, CONST: -1}), f"{v1.b}<{v2.b}"),
-            ("ineq", lin({v2.b: 1, v1.bn: -1}), f"{v1.bn}<={v2.b}"),
+            Inequality(lin({v2.b: 1, v1.b: -1, CONST: -1}), label=f"{v1.b}<{v2.b}"),
+            Inequality(lin({v2.b: 1, v1.bn: -1}), label=f"{v1.bn}<={v2.b}"),
         ]
         gt = [
-            ("ineq", lin({v1.b: 1, v2.b: -1, CONST: -1}), f"{v2.b}<{v1.b}"),
-            ("ineq", lin({v1.b: 1, v2.bn: -1}), f"{v2.bn}<={v1.b}"),
+            Inequality(lin({v1.b: 1, v2.b: -1, CONST: -1}), label=f"{v2.b}<{v1.b}"),
+            Inequality(lin({v1.b: 1, v2.bn: -1}), label=f"{v2.bn}<={v1.b}"),
         ]
-        order_branches = [eq, lt, gt]
         # gaps live in the opposite set; a gap can never equal a member >= 2
-        gap_rules = []
-        for gap, view in ((v1.gap, v2), (v2.gap, v1)):
-            for memb in view.members():
-                gap_rules.append(
-                    ("diseq", sub_expr(gap, memb), "cross_set")
-                )
-        return [branch + gap_rules for branch in order_branches]
+        gap_rules = [
+            _cross_set(sub_expr(gap, memb))
+            for gap, view in ((v1.gap, v2), (v2.gap, v1))
+            for memb in view.members()
+        ]
+        return [branch + gap_rules for branch in (eq, lt, gt)]
     # opposite sets: members never coincide (both exceed 1)
-    base = [
-        ("diseq", sub_expr(m1, m2), "cross_set")
-        for m1 in v1.members()
-        for m2 in v2.members()
-    ]
+    base = [_cross_set(sub_expr(m1, m2))
+            for m1 in v1.members() for m2 in v2.members()]
     # the two gaps lie in opposite sets as well: distinct, or both equal 1
-    distinct = base + [("diseq", sub_expr(v1.gap, v2.gap), "cross_set")]
+    distinct = base + [_cross_set(sub_expr(v1.gap, v2.gap))]
     both_one = base + [
-        ("rel", sub_expr(v1.gap, lin({CONST: 1})), "gap1=1"),
-        ("rel", sub_expr(v2.gap, lin({CONST: 1})), "gap2=1"),
+        Relation(sub_expr(v1.gap, lin({CONST: 1})), "gap1=1"),
+        Relation(sub_expr(v2.gap, lin({CONST: 1})), "gap2=1"),
     ]
     return [distinct, both_one]
 
 
-def _matching_branches(v1: _SideView, v2: _SideView) -> list[list[tuple]]:
+def _matching_branches(v1: _SideView, v2: _SideView) -> list[list[Relation]]:
     """Assign every pinned orbit of each view a value slot of the other.
 
     A pinned orbit of one transition is either one of the other transition's
@@ -313,55 +297,40 @@ def _matching_branches(v1: _SideView, v2: _SideView) -> list[list[tuple]]:
     n1, n2 = v1.named, v2.named
     branches = []
     idx2 = range(len(n2))
+    common = [Relation(sub_expr(o1, o2), "eta-common")
+              for o1 in v1.etas for o2 in v2.etas]
     for k in range(0, min(len(n1), len(n2)) + 1):
         for chosen1 in itertools.combinations(range(len(n1)), k):
             for chosen2 in itertools.permutations(idx2, k):
-                pieces = [
-                    ("rel", sub_expr(n1[i], n2[j]), f"match {i}-{j}")
+                matched = [
+                    Relation(sub_expr(n1[i], n2[j]), f"match {i}-{j}")
                     for i, j in zip(chosen1, chosen2)
                 ]
-                free1 = [i for i in range(len(n1)) if i not in chosen1]
-                free2 = [j for j in idx2 if j not in chosen2]
                 # an unmatched pinned orbit must occupy an eta slot of the
                 # other transition
-                eta_opts1 = [
-                    [("rel", sub_expr(n1[i], eta), f"named1[{i}]-eta")
+                eta_opts = [
+                    [Relation(sub_expr(n1[i], eta), f"named1[{i}]-eta")
                      for eta in v2.etas]
-                    for i in free1
-                ]
-                eta_opts2 = [
-                    [("rel", sub_expr(n2[j], eta), f"named2[{j}]-eta")
+                    for i in range(len(n1)) if i not in chosen1
+                ] + [
+                    [Relation(sub_expr(n2[j], eta), f"named2[{j}]-eta")
                      for eta in v1.etas]
-                    for j in free2
+                    for j in idx2 if j not in chosen2
                 ]
-                common = [
-                    [("rel", sub_expr(o1, o2), "eta-common")]
-                    for o1 in v1.etas
-                    for o2 in v2.etas
-                ]
-                for combo in itertools.product(*eta_opts1, *eta_opts2, common):
-                    flat = list(pieces)
-                    for c in combo:
-                        flat.extend(c if isinstance(c, list) else [c])
-                    branches.append(flat)
+                for combo in itertools.product(*eta_opts, common):
+                    branches.append(matched + list(combo))
     return branches
 
 
-def _assemble(symbols: dict, base: list[_Pieces], extra: list[tuple],
-              label: str) -> RelationSystem:
-    sys = RelationSystem(symbols=dict(symbols), relations=[], label=label)
-    for p in base:
-        sys.relations.extend(p.relations)
-        sys.inequalities.extend(p.inequalities)
-        sys.disequalities.extend(p.disequalities)
-    for kind, payload, tag in extra:
-        if kind == "rel":
-            sys.relations.append(Relation(payload, tag))
-        elif kind == "ineq":
-            sys.inequalities.append(Inequality(payload, label=tag))
-        else:
-            sys.disequalities.append(Disequality(payload, rule=tag, label=tag))
-    return sys
+def _assemble(symbols: dict, pieces: list, label: str) -> RelationSystem:
+    """One system from a flat list of pieces, keeping their order per type."""
+    return RelationSystem(
+        symbols=dict(symbols),
+        relations=[p for p in pieces if isinstance(p, Relation)],
+        inequalities=[p for p in pieces if isinstance(p, Inequality)],
+        disequalities=[p for p in pieces if isinstance(p, Disequality)],
+        label=label,
+    )
 
 
 def _middle_symbols(views: list[_SideView], e_syms: list[str]) -> dict:
@@ -385,45 +354,25 @@ def joint_scenarios(t1: str, t2: str, full: bool) -> list[RelationSystem]:
     v1 = _side_view(t1, 1, "upper")
     v2 = _side_view(t2, 2, "lower")
     symbols = _middle_symbols([v1, v2], ["Ek"])
-    base = [_side_base(v1, "Ek"), _side_base(v2, "Ek")]
-    base[0].inequalities.append(_e_floor("Ek"))
-    pair_branches = _pair_rules(v1, v2)
+    base = _side_base(v1, "Ek") + [_e_floor("Ek")] + _side_base(v2, "Ek")
     match_branches = _matching_branches(v1, v2) if full else [[]]
-    out = []
-    for i, pb in enumerate(pair_branches):
-        for j, mb in enumerate(match_branches):
-            out.append(
-                _assemble(symbols, base, pb + mb, f"({t1},{t2})#{i}.{j}")
-            )
-    return out
+    return [
+        _assemble(symbols, base + pb + mb, f"({t1},{t2})#{i}.{j}")
+        for i, pb in enumerate(_pair_rules(v1, v2))
+        for j, mb in enumerate(match_branches)
+    ]
 
 
-# aggregation order for the representative certificate of a pair: structural
-# rules first, bare arithmetic collapses last
-_REPORT_PRIORITY = (
-    "cross_set",
-    "gap_equals_member",
-    "successor_equal",
-    "successor_not_greater",
-    "member_zero",
-    "member_nonpositive",
-    "action_zero",
-    "action_nonpositive",
-    "incompatible_inequalities",
-    "forced_disequality",
-    "contradictory_equations",
-)
-
-
-def _best_infeasible(verdicts: list[Infeasible]) -> Infeasible:
-    def rank(v: Infeasible):
-        rule = v.certificate.rule
-        try:
-            return _REPORT_PRIORITY.index(rule)
-        except ValueError:
-            return len(_REPORT_PRIORITY)
-
-    return min(verdicts, key=rank)
+def _decide(systems: list[RelationSystem]) -> Verdict:
+    """The first feasible verdict, else the infeasible one whose rule ranks
+    first (ties go to the earlier system)."""
+    infeasible = []
+    for system in systems:
+        v = solve(system)
+        if v.feasible:
+            return v
+        infeasible.append(v)
+    return min(infeasible, key=lambda v: rule_rank(v.certificate.rule))
 
 
 def compatible(t1: str, t2: str, full: bool | None = None) -> Verdict:
@@ -437,15 +386,7 @@ def compatible(t1: str, t2: str, full: bool | None = None) -> Verdict:
         raise ValueError("unknown transition type")
     if full is None:
         full = (t1, t2) in EXCLUDED_PAIRS
-    feasible: Verdict | None = None
-    infeasible: list[Infeasible] = []
-    for sys in joint_scenarios(t1, t2, full):
-        v = solve(sys)
-        if v.feasible:
-            feasible = v
-            break
-        infeasible.append(v)
-    return feasible if feasible is not None else _best_infeasible(infeasible)
+    return _decide(joint_scenarios(t1, t2, full))
 
 
 @dataclass
@@ -477,6 +418,11 @@ class PairReport:
             for t2 in TYPES
         )
 
+    @property
+    def ok(self) -> bool:
+        """The computed table matches the transcribed one and its mirror."""
+        return not self.deviations and self.mirror_symmetric()
+
 
 def pair_report() -> PairReport:
     return PairReport(
@@ -499,19 +445,11 @@ def _joint_chain_scenarios(t1: str, t2: str, t3: str) -> list[RelationSystem]:
     v2_up = _side_view(t2, 2, "upper")
     v3 = _side_view(t3, 3, "lower")
     symbols = _middle_symbols([v1, v2_low, v3], ["Ek", "Ek1"])
-    base = [
-        _side_base(v1, "Ek"),
-        _side_base(v2_low, "Ek"),
-        _side_base(v3, "Ek1"),
-    ]
     # t2 seen from above: same member window, second elliptic count
-    up = _Pieces()
-    up.relations.append(
-        Relation(sub_expr(lin({"Ek1": 1}), v2_up.e_expr), f"{v2_up.b}:E-link-up")
-    )
-    up.inequalities.append(_e_floor("Ek"))
-    up.inequalities.append(_e_floor("Ek1"))
-    base.append(up)
+    up = [Relation(sub_expr(lin({"Ek1": 1}), v2_up.e_expr), f"{v2_up.b}:E-link-up"),
+          _e_floor("Ek"), _e_floor("Ek1")]
+    base = (_side_base(v1, "Ek") + _side_base(v2_low, "Ek")
+            + _side_base(v3, "Ek1") + up)
     branch_dims = [
         _pair_rules(v1, v2_low),
         _pair_rules(v2_low, v3),
@@ -519,11 +457,11 @@ def _joint_chain_scenarios(t1: str, t2: str, t3: str) -> list[RelationSystem]:
         _matching_branches(v1, v2_low),
         _matching_branches(v2_up, v3),
     ]
-    out = []
-    for i, parts in enumerate(itertools.product(*branch_dims)):
-        extra = [piece for part in parts for piece in part]
-        out.append(_assemble(symbols, base, extra, f"({t1},{t2},{t3})#{i}"))
-    return out
+    return [
+        _assemble(symbols, base + [p for part in parts for p in part],
+                  f"({t1},{t2},{t3})#{i}")
+        for i, parts in enumerate(itertools.product(*branch_dims))
+    ]
 
 
 @dataclass
@@ -571,24 +509,13 @@ def chain_check(allowed: list[tuple[str, str]] | None = None) -> ChainReport:
     rows = []
     for (t1, t2) in allowed:
         for t3 in starts.get(t2, ()):
-            verdict: Verdict | None = None
-            decided = "joint"
             m1 = probe(t1, t2)
             if not m1.feasible:
                 verdict, decided = m1, "middle1"
+            elif not (m2 := probe(t2, t3)).feasible:
+                verdict, decided = m2, "middle2"
             else:
-                m2 = probe(t2, t3)
-                if not m2.feasible:
-                    verdict, decided = m2, "middle2"
-            if verdict is None:
-                infeasible = []
-                for sys in _joint_chain_scenarios(t1, t2, t3):
-                    v = solve(sys)
-                    if v.feasible:
-                        verdict = v
-                        break
-                    infeasible.append(v)
-                if verdict is None:
-                    verdict = _best_infeasible(infeasible)
+                verdict = _decide(_joint_chain_scenarios(t1, t2, t3))
+                decided = "joint"
             rows.append(ChainRow((t1, t2, t3), verdict, decided))
     return ChainReport(rows, allowed)

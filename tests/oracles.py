@@ -71,6 +71,20 @@ def lattice_bruteforce(s1, s2, t) -> int:
     return count
 
 
+def gen_count_bruteforce(a, b, m: int, n: int) -> int:
+    """#{(i, j) >= 0 : i*a + j*b <= m*a + n*b}, one point at a time."""
+    v = a * m + b * n
+    count = 0
+    i = 0
+    while a * i <= v:
+        j = 0
+        while a * i + b * j <= v:
+            count += 1
+            j += 1
+        i += 1
+    return count
+
+
 def random_surd(rng, unit_interval: bool = True) -> ExactReal:
     """A random quadratic surd, reduced to (0, 1) when asked."""
     d = rng.choice([2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23])

@@ -11,15 +11,18 @@ from echkit.cli import main
 
 TABLE_COMMANDS = {
     "verify_all": ("verify", "all"),
+    "verify_cases": ("verify", "cases"),
     "pairs": ("transitions", "pairs"),
     "chains": ("transitions", "chains"),
 }
 
-# sha256 of each command's --json output (the digests in perfbench/README.md).
-# A change that alters a verdict on purpose updates them and says why in
-# CHANGES.md.
+# sha256 of each command's --json output (the first three are the digests in
+# perfbench/README.md).  verify_cases pins every fixture certificate, which the
+# rule order decides.  A change that alters a verdict on purpose updates them
+# and says why in CHANGES.md.
 TABLE_DIGESTS = {
     "verify_all": "be839241c50276bc766bce2dccf7540db5ef1f522a639bf20ce9af31de4d86d3",
+    "verify_cases": "0327e4a1a008f5721d6fc5d403896be257d556c05c122a288c0ef9d7a82ada1d",
     "pairs": "6805dc675cfec61cdb6a9c6793262d94354a676e8b87328922ee66493f2aeeb7",
     "chains": "3565af9d5b97d85c977a95907526bd2c4fd317a4e2266d65a6c116173944e346",
 }

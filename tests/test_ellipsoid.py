@@ -21,7 +21,7 @@ from echkit.ellipsoid import (
 )
 from echkit.exactreal import ExactReal, parse_real
 from echkit.index import FiniteAbelianGroup, OrbitCatalog, SimpleOrbit
-from oracles import capacities_bruteforce, lattice_bruteforce
+from oracles import capacities_bruteforce, gen_count_bruteforce, lattice_bruteforce
 
 # rationals over unequal denominators: ratios are rational, so values tie
 RATIONALS = st.builds(Fraction, st.integers(1, 12), st.integers(1, 9)).map(
@@ -54,6 +54,27 @@ ELLIPSOID_PARAMS = st.one_of(
     st.tuples(RATIONALS, RATIONALS),
     st.tuples(NEG_PART_SURDS, RATIONALS).flatmap(_either_order),
     _same_d_pairs(),
+)
+
+
+def _unit_surd(d):
+    """An irrational surd over radicand d, moved into (1, 2)."""
+    return st.builds(ExactReal, st.integers(-6, 6),
+                     st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                     st.integers(1, 5), st.just(d)).map(lambda x: x - x.floor() + 1)
+
+
+def _irrational_ratio_pairs(d):
+    return st.tuples(_unit_surd(d), _unit_surd(d)).filter(
+        lambda ab: (ab[1] / ab[0]).is_irrational)
+
+
+# irrational action ratios: a rational beside a surd, or two surds over one
+# radicand
+IRRATIONAL_PARAMS = st.one_of(
+    st.tuples(RATIONALS, st.sampled_from([2, 3, 5, 7]).flatmap(_unit_surd)
+              ).flatmap(_either_order),
+    st.sampled_from([2, 3, 5]).flatmap(_irrational_ratio_pairs),
 )
 
 E_ROUND = Ellipsoid.of(1, 1)
@@ -114,6 +135,13 @@ class TestGenIndex:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             gen_index(E_ROUND, Generator(1, 0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(IRRATIONAL_PARAMS, st.integers(0, 12), st.integers(0, 12))
+    def test_matches_bruteforce_property(self, ab, m, n):
+        a, b = ab
+        assert gen_index(Ellipsoid(a, b), Generator(m, n)) == 2 * (
+            gen_count_bruteforce(a, b, m, n) - 1)
 
     def test_grading_orders_like_action(self):
         # the k-th capacity is realized by the generator of grading 2k,

@@ -1,5 +1,6 @@
 """Transition profiles, pair compatibility tables, chains, and the grid map."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,11 @@ from echkit.transitions import (
     ALLOWED_PAIRS,
     EXCLUDED_PAIRS,
     TYPES,
+    _joint_chain_scenarios,
     chain_check,
     compatible,
     f_grid,
+    joint_scenarios,
     mirror,
     pair_report,
     profile,
@@ -24,6 +27,28 @@ EXPECTED_ALLOWED = {
     ("c", "a"), ("a", "c'"), ("b", "c'"), ("c", "c'"), ("a'", "c'"),
     ("b", "a'"), ("c", "a'"),
 }
+
+
+# sha256 over every scenario system of the 36 pairs at both probe depths and
+# of the joint systems of two chains.  It covers each system's label and
+# symbols, then its relations, inequalities and disequalities in order, each
+# coefficient dict in its key order: key order steers elimination, so a
+# rewrite that keeps the verdicts but reorders a system still shows here.
+SCENARIO_DIGEST = "465b5a25808fab862450069b2503c7ceaf10fab2231ca07517c7328a4435444b"
+DIGEST_CHAINS = (("b", "a", "b'"), ("a", "b'", "a"))
+
+
+def scenario_digest() -> str:
+    systems = [s for full in (False, True) for t1 in TYPES for t2 in TYPES
+               for s in joint_scenarios(t1, t2, full)]
+    for triple in DIGEST_CHAINS:
+        systems += _joint_chain_scenarios(*triple)
+    h = hashlib.sha256()
+    for s in systems:
+        h.update(repr((s.label, s.symbols)).encode())
+        for group in (s.relations, s.inequalities, s.disequalities):
+            h.update(b"|" + repr(group).encode())
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +149,11 @@ class TestPairTable:
         v = compatible("b", "a")
         assert v.feasible
         assert v.sample is not None
+
+
+class TestScenarioSystems:
+    def test_scenario_digest(self):
+        assert scenario_digest() == SCENARIO_DIGEST
 
 
 class TestChains:
