@@ -3,15 +3,14 @@
 Subcommands mirror the library: stheta, partition, cz, index, j0-types,
 ellipsoid {caps,volume,density}, verify {cases,all}, transitions
 {pairs,chains}.  Every command prints a table by default and canonical JSON
-with --json (or when ECHKIT_OUTPUT=json).  Exit status: 0 on success, 1 when
-a verification deviates from its expected table, 2 on usage errors.
+with --json.  Exit status: 0 on success, 1 when a verification deviates from
+its expected table, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -26,6 +25,7 @@ from .ellipsoid import (
 from .exactreal import parse_real
 from .index import (
     RelData,
+    SimpleOrbit,
     catalog_from_dict,
     cz_power,
     ech_index,
@@ -103,16 +103,14 @@ def cmd_partition(args) -> int:
 
 
 def cmd_cz(args) -> int:
-    from .index import SimpleOrbit
-
     if args.kind == "elliptic":
         if not args.theta:
-            raise SystemExit("elliptic orbits need --theta")
+            raise ValueError("elliptic orbits need --theta")
         orbit = SimpleOrbit("o", args.kind, Fraction(1),
                             rotation=parse_real(args.theta))
     else:
         if args.cz is None:
-            raise SystemExit("hyperbolic orbits need --cz")
+            raise ValueError("hyperbolic orbits need --cz")
         orbit = SimpleOrbit("o", args.kind, Fraction(1), cz=args.cz)
     value = cz_power(orbit, args.k)
     _emit(
@@ -169,6 +167,9 @@ def cmd_ellipsoid_caps(args) -> int:
 
 
 def cmd_ellipsoid_volume(args) -> int:
+    # volume_ratio's check: that function would build the capacities again
+    if args.k < 1:
+        raise ValueError("k must be positive")
     e = Ellipsoid(parse_real(args.a), parse_real(args.b))
     caps = capacities(e, args.k)
     ck = float(caps[args.k])
@@ -230,10 +231,7 @@ def cmd_ellipsoid_density(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    def parse_any(s):
-        return parse_real(s) if "sqrt" in s else Fraction(s)
-
-    n = lattice_count(parse_any(args.s1), parse_any(args.s2), parse_any(args.t))
+    n = lattice_count(parse_real(args.s1), parse_real(args.s2), parse_real(args.t))
     _emit(
         args,
         {"command": "lattice", "s1": args.s1, "s2": args.s2, "t": args.t,
@@ -412,14 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="echkit",
         description="exact combinatorics of Reeb orbit counting",
     )
-    default_json = os.environ.get("ECHKIT_OUTPUT", "table") == "json"
     sub = parser.add_subparsers(dest="command", required=True)
 
     def leaf(parent, name, fn, **kw):
         p = parent.add_parser(name, **kw)
         p.set_defaults(fn=fn)
-        p.add_argument("--json", action="store_true", default=default_json,
-                       help="emit canonical JSON")
+        p.add_argument("--json", action="store_true", help="emit canonical JSON")
         return p
 
     p = leaf(sub, "stheta", cmd_stheta,

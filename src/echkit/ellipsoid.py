@@ -115,14 +115,6 @@ def volume_ratio(e: Ellipsoid, k: int) -> float:
     return c * c / (2 * k)
 
 
-def _count_strictly_below(bound, step) -> int:
-    """#{t >= 0 : t*step < bound} for positive step."""
-    x = bound / step
-    if x._sign() <= 0:
-        return 0
-    return x.floor() + (0 if x.is_integer() else 1)
-
-
 def lattice_count(s1, s2, t) -> int:
     """#{(t1, t2) in Z>=0^2 : t1*s1 + t2*s2 < t}; 0 when t <= 0."""
     s1, s2, t = _as_exact(s1), _as_exact(s2), _as_exact(t)
@@ -130,11 +122,8 @@ def lattice_count(s1, s2, t) -> int:
         raise ValueError("steps must be positive")
     total = 0
     t1 = 0
-    while True:
-        rem = t - s1 * t1
-        rows = _count_strictly_below(rem, s2)
-        if rows == 0:
-            break
+    # column t1 holds ceil((t - t1*s1)/s2) points while that is positive
+    while (rows := ((t - s1 * t1) / s2).ceil()) > 0:
         total += rows
         t1 += 1
     return total

@@ -11,8 +11,11 @@ and then checks the side constraints the symbols carry:
   * an s_member symbol P is a positive integer (> 1 where flagged);
   * its successor P' satisfies P' > P, and when P > 1 the gap P' - P can
     never equal P (gaps belong to the opposite approximation set, and the
-    two sets meet only at 1);
-  * symbols tagged with opposite approximation sets may only coincide at 1.
+    two sets meet only at 1).
+
+Sym.set_tag names the approximation set of a member, but solve never reads
+it.  The rule that opposite sets meet only at 1 reaches the engine only as
+the "cross_set" disequalities that transitions._pair_rules builds.
 
 An Infeasible verdict carries a certificate: the forced equation, the exact
 combination of input relations that produces it (so it can be replayed), and
@@ -29,7 +32,7 @@ from fractions import Fraction
 from .linear import (
     CONST,
     Eliminator,
-    Ineq,
+    Inequality,
     LinExpr,
     Row,
     _eval,
@@ -75,13 +78,6 @@ class Relation:
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("relation needs at least one nonzero coefficient")
-
-
-@dataclass(frozen=True)
-class Inequality:
-    coeffs: LinExpr  # coeffs . syms >= 0  (or > 0 when strict)
-    strict: bool = False
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -178,32 +174,32 @@ def _elimination_order(symbols: dict[str, Sym]) -> list[str]:
     return sorted(symbols, key=lambda n: (_KIND_RANK[symbols[n].kind], n))
 
 
-def _auto_inequalities(system: RelationSystem) -> list[Ineq]:
+def _auto_inequalities(system: RelationSystem) -> list[Inequality]:
     out = []
     for name, s in system.symbols.items():
         if s.kind == ACTION:
-            out.append(Ineq(lin({name: 1}), strict=True, label=f"{name}>0"))
+            out.append(Inequality(lin({name: 1}), strict=True, label=f"{name}>0"))
         elif s.kind == MEMBER:
             if s.greater_than_one and s.integer:
-                out.append(Ineq(lin({name: 1, CONST: -2}), label=f"{name}>=2"))
+                out.append(Inequality(lin({name: 1, CONST: -2}), label=f"{name}>=2"))
             elif s.greater_than_one:
-                out.append(Ineq(lin({name: 1, CONST: -1}), strict=True, label=f"{name}>1"))
+                out.append(Inequality(lin({name: 1, CONST: -1}), strict=True,
+                                      label=f"{name}>1"))
             else:
-                out.append(Ineq(lin({name: 1}), strict=True, label=f"{name}>0"))
+                out.append(Inequality(lin({name: 1}), strict=True, label=f"{name}>0"))
         elif s.kind == SUCCESSOR:
             if s.integer:
-                out.append(Ineq(lin({name: 1, s.base: -1, CONST: -1}),
-                                label=f"{name}>={s.base}+1"))
+                out.append(Inequality(lin({name: 1, s.base: -1, CONST: -1}),
+                                      label=f"{name}>={s.base}+1"))
             else:
-                out.append(Ineq(lin({name: 1, s.base: -1}), strict=True,
-                                label=f"{name}>{s.base}"))
+                out.append(Inequality(lin({name: 1, s.base: -1}), strict=True,
+                                      label=f"{name}>{s.base}"))
         elif s.kind == COUNT:
             if s.integer:
-                out.append(Ineq(lin({name: 1, CONST: -1}), label=f"{name}>=1"))
+                out.append(Inequality(lin({name: 1, CONST: -1}), label=f"{name}>=1"))
             else:
-                out.append(Ineq(lin({name: 1}), strict=True, label=f"{name}>0"))
-    for iq in system.inequalities:
-        out.append(Ineq(dict(iq.coeffs), iq.strict, iq.label))
+                out.append(Inequality(lin({name: 1}), strict=True, label=f"{name}>0"))
+    out.extend(system.inequalities)
     return out
 
 
@@ -221,27 +217,26 @@ def _auto_disequalities(system: RelationSystem) -> list[Disequality]:
     return out
 
 
-def _member_facts(system: RelationSystem, elim: Eliminator) -> list[Ineq]:
+def _member_facts(system: RelationSystem, elim: Eliminator) -> list[Inequality]:
     """Order facts on members/successors only, reduced by the pivots."""
     facts = []
     for name, s in system.symbols.items():
         if s.kind == MEMBER:
             low = lin({name: 1, CONST: -1}) if s.greater_than_one else lin({name: 1})
-            facts.append(Ineq(elim.reduce_expr(low), strict=True))
+            facts.append(Inequality(elim.reduce_expr(low), strict=True))
         elif s.kind == SUCCESSOR:
-            facts.append(
-                Ineq(elim.reduce_expr(lin({name: 1, s.base: -1})), strict=True)
-            )
-    return [f for f in facts if f.expr]
+            facts.append(Inequality(elim.reduce_expr(lin({name: 1, s.base: -1})),
+                                    strict=True))
+    return [f for f in facts if f.coeffs]
 
 
-def _forced_nonpositive(system, facts: list[Ineq], reduced: LinExpr) -> bool:
+def _forced_nonpositive(system, facts: list[Inequality], reduced: LinExpr) -> bool:
     """True when reduced > 0 is impossible given member order facts alone."""
     kinds = {system.symbols[s].kind for s in reduced if s != CONST}
     if kinds & {ACTION, COUNT}:
         return False  # a free action/count leaves the sign undetermined
-    ineqs = facts + [Ineq(dict(reduced), strict=True)]
-    variables = sorted({s for iq in ineqs for s in iq.expr if s != CONST})
+    ineqs = facts + [Inequality(reduced, strict=True)]
+    variables = sorted({s for iq in ineqs for s in iq.coeffs if s != CONST})
     return not fm_solve(ineqs, variables).feasible
 
 
@@ -258,7 +253,7 @@ def solve(system: RelationSystem) -> Verdict:
     order = _elimination_order(system.symbols)
     elim = Eliminator(order)
     for r in system.relations:
-        elim.add(dict(r.coeffs), r.label)
+        elim.add(r.coeffs, r.label)
 
     if elim.inconsistent is not None:
         row = elim.inconsistent
@@ -319,7 +314,7 @@ def solve(system: RelationSystem) -> Verdict:
         return Infeasible(Certificate(rule, sub_expr(expr, row.expr),
                                       combo, eps, human))
 
-    ineqs = [Ineq(elim.reduce_expr(iq.expr), iq.strict, iq.label)
+    ineqs = [Inequality(elim.reduce_expr(iq.coeffs), iq.strict, iq.label)
              for iq in _auto_inequalities(system)]
     variables = [s for s in order if s not in elim.pivots]
     res = fm_solve(ineqs, variables)
@@ -330,7 +325,7 @@ def solve(system: RelationSystem) -> Verdict:
             human += f" (from {c.label})"
         return Infeasible(
             Certificate("incompatible_inequalities",
-                        c.expr if c else {}, {}, None, human)
+                        c.coeffs if c else {}, {}, None, human)
         )
 
     reduced_ds = [(d, elim.reduce_expr(d.coeffs)) for d in diseqs]
@@ -371,7 +366,7 @@ def _avoid_disequalities(ineqs, variables, dis_exprs, depth=0):
             if depth > 10:
                 return None
             for sign in (1, -1):
-                branched = ineqs + [Ineq(scale_expr(e, sign), strict=True)]
+                branched = ineqs + [Inequality(scale_expr(e, sign), strict=True)]
                 out = _avoid_disequalities(branched, variables, dis_exprs, depth + 1)
                 if out is not None:
                     return out

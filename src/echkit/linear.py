@@ -24,27 +24,14 @@ CONST = "1"
 LinExpr = dict  # symbol -> Fraction
 
 
-def lin(pairs=None, **kw) -> LinExpr:
-    out: LinExpr = {}
-    items = list(pairs.items()) if pairs else []
-    items += list(kw.items())
-    for k, v in items:
-        v = Fraction(v)
-        if v:
-            out[k] = out.get(k, Fraction(0)) + v
-            if not out[k]:
-                del out[k]
-    return {k: Fraction(v) for k, v in out.items() if v}
+def lin(pairs: dict) -> LinExpr:
+    """The expression with the coefficients of pairs, zero terms dropped."""
+    return {k: Fraction(v) for k, v in pairs.items() if v}
 
 
 def add_expr(a: LinExpr, b: LinExpr) -> LinExpr:
     out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, Fraction(0)) + v
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
+    _sub_scaled(out, b, -1)
     return out
 
 
@@ -56,13 +43,18 @@ def scale_expr(a: LinExpr, c) -> LinExpr:
 
 
 def sub_expr(a: LinExpr, b: LinExpr) -> LinExpr:
-    return add_expr(a, scale_expr(b, -1))
+    out = dict(a)
+    _sub_scaled(out, b, 1)
+    return out
 
 
 def _sub_scaled(target: dict, src: dict, c) -> None:
-    """target -= c * src in place, dropping entries that cancel."""
+    """target -= c * src in place, dropping entries that cancel.
+
+    New keys are appended; key order steers elimination.
+    """
     for k, v in src.items():
-        s = target.get(k, Fraction(0)) - v * c
+        s = target[k] - v * c if k in target else -v * c
         if s:
             target[k] = s
         elif k in target:
@@ -101,7 +93,11 @@ class Row:
 
 
 class Eliminator:
-    """Reduced row echelon over an ordered symbol list."""
+    """Reduced row echelon over an ordered symbol list.
+
+    No method mutates a dict it is given: reduce_row and reduce_expr copy
+    before they subtract pivot rows in place.
+    """
 
     def __init__(self, order: list[str]):
         self.order = list(order)
@@ -126,7 +122,7 @@ class Eliminator:
         return expr
 
     def add(self, expr: LinExpr, label: str):
-        row = self.reduce_row(Row(dict(expr), {label: Fraction(1)}))
+        row = self.reduce_row(Row(expr, {label: Fraction(1)}))
         syms = [s for s in row.expr if s != CONST]
         if not syms:
             if row.expr:  # 0 = nonzero constant
@@ -152,49 +148,50 @@ class Eliminator:
 # -- Fourier-Motzkin ---------------------------------------------------------
 
 
-@dataclass
-class Ineq:
-    """expr >= 0, or expr > 0 when strict."""
-
-    expr: LinExpr
+@dataclass(frozen=True)
+class Inequality:
+    coeffs: LinExpr  # coeffs . syms >= 0  (or > 0 when strict)
     strict: bool = False
     label: str = ""
 
-    def key(self):
-        if not self.expr:
-            return (self.strict,)
-        norm = max(abs(v) for v in self.expr.values())
-        return (self.strict, tuple(sorted((k, v / norm) for k, v in self.expr.items())))
+
+def _ineq_key(iq: Inequality):
+    """Identifies inequalities equal up to a positive factor."""
+    if not iq.coeffs:
+        return (iq.strict,)
+    norm = max(abs(v) for v in iq.coeffs.values())
+    return (iq.strict, tuple(sorted((k, v / norm) for k, v in iq.coeffs.items())))
 
 
 def _eval(e: LinExpr, sample: dict) -> Fraction:
     total = Fraction(0)
     for k, v in e.items():
-        total += v * (Fraction(1) if k == CONST else sample[k])
+        total += v if k == CONST else v * sample[k]
     return total
 
 
 class FMResult:
-    def __init__(self, feasible: bool, sample=None, contradiction: Ineq | None = None):
+    def __init__(self, feasible: bool, sample=None,
+                 contradiction: Inequality | None = None):
         self.feasible = feasible
         self.sample = sample
         self.contradiction = contradiction
 
 
-def fm_solve(ineqs: list[Ineq], variables: list[str]) -> FMResult:
+def fm_solve(ineqs: list[Inequality], variables: list[str]) -> FMResult:
     """Decide a conjunction of rational linear inequalities exactly.
 
     On success returns a rational sample point for `variables`.
     """
     allowed = set(variables) | {CONST}
     for iq in ineqs:
-        extra = set(iq.expr) - allowed
+        extra = set(iq.coeffs) - allowed
         if extra:
             raise ValueError(f"inequality mentions uneliminated symbols {extra}")
     rows = []
     seen = set()
     for iq in ineqs:
-        k = iq.key()
+        k = _ineq_key(iq)
         if k not in seen:
             seen.add(k)
             rows.append(iq)
@@ -203,7 +200,7 @@ def fm_solve(ineqs: list[Ineq], variables: list[str]) -> FMResult:
     for var in variables:
         lowers, uppers, rest = [], [], []
         for iq in current:
-            c = iq.expr.get(var)
+            c = iq.coeffs.get(var)
             if not c:
                 rest.append(iq)
             elif c > 0:
@@ -212,25 +209,25 @@ def fm_solve(ineqs: list[Ineq], variables: list[str]) -> FMResult:
                 uppers.append(iq)
         stack.append((var, lowers, uppers))
         new_rows = rest
-        seen = {iq.key() for iq in new_rows}
+        seen = {_ineq_key(iq) for iq in new_rows}
         for lo in lowers:
             for up in uppers:
-                cl = lo.expr[var]
-                cu = -up.expr[var]
+                cl = lo.coeffs[var]
+                cu = -up.coeffs[var]
                 combined = add_expr(
-                    scale_expr({k: v for k, v in lo.expr.items() if k != var}, cu),
-                    scale_expr({k: v for k, v in up.expr.items() if k != var}, cl),
+                    scale_expr({k: v for k, v in lo.coeffs.items() if k != var}, cu),
+                    scale_expr({k: v for k, v in up.coeffs.items() if k != var}, cl),
                 )
-                iq = Ineq(combined, lo.strict or up.strict,
-                          f"{lo.label}&{up.label}")
-                k = iq.key()
+                iq = Inequality(combined, lo.strict or up.strict,
+                                f"{lo.label}&{up.label}")
+                k = _ineq_key(iq)
                 if k not in seen:
                     seen.add(k)
                     new_rows.append(iq)
         current = new_rows
     # everything left is constant
     for iq in current:
-        val = iq.expr.get(CONST, Fraction(0))
+        val = iq.coeffs.get(CONST, Fraction(0))
         if val < 0 or (iq.strict and val == 0):
             return FMResult(False, contradiction=iq)
     # back-substitute a sample
@@ -238,14 +235,14 @@ def fm_solve(ineqs: list[Ineq], variables: list[str]) -> FMResult:
     for var, lowers, uppers in reversed(stack):
         lo_val = lo_strict = None
         for iq in lowers:
-            rest = {k: v for k, v in iq.expr.items() if k != var}
-            bound = -_eval(rest, sample) / iq.expr[var]
+            rest = {k: v for k, v in iq.coeffs.items() if k != var}
+            bound = -_eval(rest, sample) / iq.coeffs[var]
             if lo_val is None or bound > lo_val or (bound == lo_val and iq.strict):
                 lo_val, lo_strict = bound, iq.strict
         up_val = up_strict = None
         for iq in uppers:
-            rest = {k: v for k, v in iq.expr.items() if k != var}
-            bound = -_eval(rest, sample) / iq.expr[var]
+            rest = {k: v for k, v in iq.coeffs.items() if k != var}
+            bound = -_eval(rest, sample) / iq.coeffs[var]
             if up_val is None or bound < up_val or (bound == up_val and iq.strict):
                 up_val, up_strict = bound, iq.strict
         if lo_val is None and up_val is None:

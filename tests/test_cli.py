@@ -105,6 +105,16 @@ class TestBasics:
         code = main(["stheta", "--theta", "sqrt(", "--max", "5"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["cz", "--kind", "elliptic", "--k", "3"],  # no --theta
+        ["cz", "--kind", "positive_hyperbolic", "--k", "3"],  # no --cz
+        ["ellipsoid", "volume", "--a", "1", "--b", "1", "--k", "0"],
+        ["lattice", "--s1", "1", "--s2", "1", "--t", "2.5"],  # one grammar
+    ])
+    def test_missing_or_invalid_value_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestIndexCommand:
     def test_pair_grading(self, capsys, tmp_path):

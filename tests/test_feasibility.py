@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from echkit.feasibility import (
+    Disequality,
     Feasible,
+    Inequality,
     Infeasible,
     Relation,
     RelationSystem,
@@ -124,6 +126,33 @@ class TestSolveExamples:
         v = solve(system)
         assert not v.feasible
         assert v.certificate.rule == "action_nonpositive"
+
+
+class TestDisequalitySampler:
+    """An integer count k >= 1 with k <= upper and the hyperplane k = avoid
+    removed; no relation, so only the FM sampler can decide."""
+
+    def system(self, upper, avoid):
+        return RelationSystem(
+            {"k": Sym("k", "count", integer=True)},
+            [],
+            inequalities=[Inequality(lin({"k": -1, CONST: upper}), label="k<=upper")],
+            disequalities=[Disequality(lin({"k": 1, CONST: -avoid}),
+                                       rule="cross_set", label="k!=avoid")],
+        )
+
+    def test_region_inside_the_hyperplane_is_infeasible(self):
+        v = solve(self.system(upper=1, avoid=1))
+        assert isinstance(v, Infeasible)
+        assert v.certificate.rule == "forced_disequality"
+        assert v.certificate.equation == lin({"k": 1, CONST: -1})
+
+    def test_sample_leaves_the_hyperplane(self):
+        # the first FM sample, the midpoint k = 2 of [1, 3], lies on it
+        v = solve(self.system(upper=3, avoid=2))
+        assert isinstance(v, Feasible)
+        k = v.sample["k"]
+        assert 1 <= k <= 3 and k != 2
 
 
 class TestCertificates:
