@@ -66,15 +66,14 @@ from .fixtures import run_all, run_fixture
 from .transitions import (
     ALLOWED_PAIRS,
     EXCLUDED_PAIRS,
+    MODELS,
     TYPES,
-    TransitionProfile,
     allowed_pairs,
     chain_check,
     compatible,
     f_grid,
     mirror,
     pair_report,
-    profile,
 )
 
 __version__ = "0.1.0"

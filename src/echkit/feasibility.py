@@ -76,6 +76,11 @@ class Relation:
     eps_multiple: Fraction = Fraction(1)
 
     def __post_init__(self):
+        # a zero term must never reach the eliminator, which could pick it
+        # as a pivot; copy only when there is one to drop
+        if not all(self.coeffs.values()):
+            object.__setattr__(
+                self, "coeffs", {k: v for k, v in self.coeffs.items() if v})
         if not self.coeffs:
             raise ValueError("relation needs at least one nonzero coefficient")
 

@@ -6,6 +6,9 @@ pins the actions of the hyperbolic orbits it touches to small rational
 multiples of P and P'.  Six types occur: (a), (b), (c) when the drop is
 governed by the set tagged "p", and their mirror images (a'), (b'), (c') for
 the set tagged "q".  Types b/b' force P' = 3P/2 and c/c' force P' = 4P/3.
+`MODELS` is the single statement of the six types: the values each pins on
+its upper and lower orbit set, its elliptic counts, its eta values and its
+fixed ratio.  Every scenario system below is derived from it.
 
 Two consecutive transitions share a middle orbit set, and both prescribe the
 grid values of its hyperbolic actions.  `compatible` builds the joint system
@@ -25,7 +28,7 @@ uses the full probes on both middle sets of a length-3 chain.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .feasibility import (
@@ -43,7 +46,65 @@ from .feasibility import (
 )
 from .linear import CONST, LinExpr, lin, sub_expr
 
-TYPES = ("a", "a'", "b", "b'", "c", "c'")
+# -- the transition models --------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Side:
+    """What a transition pins on one of its two orbit sets, over P, P', M."""
+
+    named: tuple[LinExpr, ...]  # pinned hyperbolic actions
+    e_count: LinExpr  # the elliptic count: M on the upper set, M - P below
+
+
+@dataclass(frozen=True)
+class Model:
+    """One transition type: the set governing the drop, what it pins on the
+    upper and the lower orbit set, the two values allowed for every other
+    orbit, and the fixed ratio P'/P when the type pins it."""
+
+    tag: str
+    upper: Side
+    lower: Side
+    etas: tuple[LinExpr, LinExpr]
+    ratio: Fraction | None
+
+
+def _base(upper: list[dict], lower: list[dict], etas: list[dict],
+          ratio: Fraction | None) -> Model:
+    return Model(
+        tag="p",
+        upper=Side(tuple(map(lin, upper)), lin({"M": 1})),
+        lower=Side(tuple(map(lin, lower)), lin({"M": 1, "P": -1})),
+        etas=tuple(map(lin, etas)),
+        ratio=ratio,
+    )
+
+
+_BASES = {
+    "a": _base(upper=[{"P'": 1, "P": -1}], lower=[{"P'": 1}],
+               etas=[{"P'": Fraction(1, 2)},
+                     {"P'": Fraction(1, 2), "P": Fraction(-1, 2)}],
+               ratio=None),
+    "b": _base(upper=[], lower=[{"P": Fraction(1, 2)}, {"P": Fraction(1, 2)}],
+               etas=[{"P": Fraction(1, 2)}, {"P": Fraction(1, 4)}],
+               ratio=Fraction(3, 2)),
+    "c": _base(upper=[], lower=[{"P": Fraction(2, 3)}, {"P": Fraction(1, 3)}],
+               etas=[{"P": Fraction(1, 2)}, {"P": Fraction(1, 6)}],
+               ratio=Fraction(4, 3)),
+}
+
+# The single statement of the six transition types, in the order a, a', b,
+# b', c, c'.  A primed type is its base governed by the set q with the two
+# sides swapped: what the base pins on the lower set, the mirror pins on the
+# upper one, elliptic count included.
+MODELS: dict[str, Model] = {
+    name: model
+    for t, m in _BASES.items()
+    for name, model in ((t, m),
+                        (t + "'", replace(m, tag="q", upper=m.lower, lower=m.upper)))
+}
+TYPES = tuple(MODELS)
 
 # the pair table of the source case analysis: (earlier, later) transitions
 # of a shared middle set that force a contradiction
@@ -67,88 +128,6 @@ ALLOWED_PAIRS = tuple(
 
 def mirror(t: str) -> str:
     return t[:-1] if t.endswith("'") else t + "'"
-
-
-def is_primed(t: str) -> bool:
-    return t.endswith("'")
-
-
-def set_tag(t: str) -> str:
-    """Unprimed types are governed by the set tagged p, primed by q."""
-    return "q" if is_primed(t) else "p"
-
-
-def ratio(t: str) -> Fraction | None:
-    base = t.rstrip("'")
-    return {"a": None, "b": Fraction(3, 2), "c": Fraction(4, 3)}[base]
-
-
-# -- profiles ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransitionProfile:
-    """Action fingerprint of one transition type, over the symbols P, P'."""
-
-    tag: str
-    base: Sym
-    side: str  # which of the two sets carries the larger elliptic multiplicity
-    e_delta: str  # the elliptic multiplicity drop, always the base member P
-    deltas: tuple[LinExpr, ...]  # pinned hyperbolic actions (delta_1, delta_2)
-    etas: tuple[LinExpr, LinExpr]  # the two values allowed for every other orbit
-    ratio: Fraction | None  # fixed P'/P when the type pins it
-    largest_f: LinExpr
-    largest_f_multiplicity_lower_bound: int
-
-
-_P, _PN = "P", "P'"
-
-
-def _shape(t: str) -> dict:
-    base = t.rstrip("'")
-    if base == "a":
-        return {
-            "upper_named": [lin({_PN: 1, _P: -1})],
-            "lower_named": [lin({_PN: 1})],
-            "etas": (lin({_PN: Fraction(1, 2)}),
-                     lin({_PN: Fraction(1, 2), _P: Fraction(-1, 2)})),
-            "largest": lin({_PN: 1}),
-            "mult": 1,
-        }
-    if base == "b":
-        return {
-            "upper_named": [],
-            "lower_named": [lin({_P: Fraction(1, 2)}), lin({_P: Fraction(1, 2)})],
-            "etas": (lin({_P: Fraction(1, 2)}), lin({_P: Fraction(1, 4)})),
-            "largest": lin({_P: Fraction(1, 2)}),
-            "mult": 2,
-        }
-    return {
-        "upper_named": [],
-        "lower_named": [lin({_P: Fraction(2, 3)}), lin({_P: Fraction(1, 3)})],
-        "etas": (lin({_P: Fraction(1, 2)}), lin({_P: Fraction(1, 6)})),
-        "largest": lin({_P: Fraction(2, 3)}),
-        "mult": 1,
-    }
-
-
-def profile(t: str) -> TransitionProfile:
-    if t not in TYPES:
-        raise ValueError(f"unknown transition type {t!r}")
-    sh = _shape(t)
-    primed = is_primed(t)
-    named = sh["upper_named"] + sh["lower_named"]  # delta_1 then delta_2
-    return TransitionProfile(
-        tag=t,
-        base=Sym("P", MEMBER, set_tag=set_tag(t), integer=True),
-        side="lower" if primed else "upper",
-        e_delta="P",
-        deltas=tuple(named),
-        etas=sh["etas"],
-        ratio=ratio(t),
-        largest_f=sh["largest"],
-        largest_f_multiplicity_lower_bound=sh["mult"],
-    )
 
 
 # -- the grid map -------------------------------------------------------------
@@ -178,8 +157,6 @@ def f_grid(action: Fraction, r: Fraction, eps_prime: Fraction) -> Fraction | Non
 class _SideView:
     """One transition's description of a shared middle orbit set."""
 
-    t: str
-    role: str  # "upper" | "lower": is the middle set the upper or lower one
     b: str
     bn: str
     m: str
@@ -198,29 +175,20 @@ class _SideView:
 
 
 def _side_view(t: str, idx: int, role: str) -> _SideView:
-    sh = _shape(t)
-    tag = set_tag(t)
-    b, bn, m = f"{tag}{idx}", f"{tag}{idx}n", f"M{idx}"
+    """MODELS[t] seen from its upper or lower set (role), with P, P' and M
+    renamed to {tag}{idx}, {tag}{idx}n and M{idx}."""
+    model = MODELS[t]
+    side = model.upper if role == "upper" else model.lower
+    b, bn, m = f"{model.tag}{idx}", f"{model.tag}{idx}n", f"M{idx}"
+    names = {"P": b, "P'": bn, "M": m}
 
     def inst(e: LinExpr) -> LinExpr:
-        return {
-            {_P: b, _PN: bn}[k]: v for k, v in e.items()
-        }
+        return {names[k]: v for k, v in e.items()}
 
-    # a primed type is the mirror image: what the unprimed shape pins on the
-    # lower set, its mirror pins on the upper set, and the template elliptic
-    # count M sits on the other side as well
-    primed = is_primed(t)
-    shape_role = role if not primed else ("lower" if role == "upper" else "upper")
-    named = [inst(e) for e in (sh["upper_named"] if shape_role == "upper"
-                               else sh["lower_named"])]
-    etas = tuple(inst(e) for e in sh["etas"])
-    if shape_role == "upper":
-        e_expr = lin({m: 1})
-    else:
-        e_expr = lin({m: 1, b: -1})
-    return _SideView(t=t, role=role, b=b, bn=bn, m=m, tag=tag, named=named,
-                     etas=etas, e_expr=e_expr, ratio=ratio(t))
+    return _SideView(b=b, bn=bn, m=m, tag=model.tag,
+                     named=[inst(e) for e in side.named],
+                     etas=tuple(inst(e) for e in model.etas),
+                     e_expr=inst(side.e_count), ratio=model.ratio)
 
 
 def _cross_set(expr: LinExpr) -> Disequality:

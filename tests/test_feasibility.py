@@ -155,6 +155,44 @@ class TestDisequalitySampler:
         assert 1 <= k <= 3 and k != 2
 
 
+class TestZeroCoefficients:
+    """A zero term is dropped when the relation is built; the count E comes
+    before the member P in the elimination order, so a kept zero on E would
+    be picked as the pivot."""
+
+    SYMBOLS = {"P": {"kind": "s_member", "set_tag": "p"},
+               "E": {"kind": "count"}}
+
+    def system(self, coeffs):
+        symbols = {"P": Sym("P", "s_member", set_tag="p", integer=True),
+                   "E": Sym("E", "count", integer=True)}
+        return RelationSystem(symbols, [Relation(coeffs, "r")])
+
+    def test_zero_term_gives_the_verdict_without_it(self):
+        with_zero = solve(self.system({"E": Fraction(0), "P": Fraction(1),
+                                       CONST: Fraction(-3)}))
+        without = solve(self.system(lin({"P": 1, CONST: -3})))
+        assert isinstance(with_zero, Feasible)
+        assert with_zero.solution == without.solution
+        assert with_zero.solution["P"] == lin({CONST: 3})
+
+    def test_all_zero_relation_rejected(self):
+        with pytest.raises(ValueError):
+            Relation({"E": Fraction(0)}, "r")
+
+    def test_registry_zero_coefficient_runs(self):
+        registry = {"fixtures": {"zero": {
+            "symbols": self.SYMBOLS,
+            "base_relations": [
+                {"label": "r", "coeffs": {"E": "0", "P": 1, "1": -3}}],
+            "case_families": [],
+            "expected": {"survivors": [[]]},
+        }}}
+        res = run_fixture("zero", registry)
+        assert res.ok
+        assert [r.verdict.solution["P"] for r in res.rows] == [lin({CONST: 3})]
+
+
 class TestCertificates:
     def _relation_map(self, system):
         return {r.label: r.coeffs for r in system.relations}

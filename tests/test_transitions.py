@@ -1,4 +1,4 @@
-"""Transition profiles, pair compatibility tables, chains, and the grid map."""
+"""Transition models, pair compatibility tables, chains, and the grid map."""
 
 import hashlib
 from fractions import Fraction
@@ -11,6 +11,7 @@ from echkit.linear import lin
 from echkit.transitions import (
     ALLOWED_PAIRS,
     EXCLUDED_PAIRS,
+    MODELS,
     TYPES,
     _joint_chain_scenarios,
     chain_check,
@@ -19,7 +20,6 @@ from echkit.transitions import (
     joint_scenarios,
     mirror,
     pair_report,
-    profile,
 )
 
 EXPECTED_ALLOWED = {
@@ -62,41 +62,54 @@ def chains():
 
 
 class TestProfiles:
+    """The profile of each transition type, as MODELS states it."""
+
     def test_single_drop(self):
-        p = profile("a")
-        assert p.deltas == (lin({"P'": 1, "P": -1}), lin({"P'": 1}))
-        assert p.etas == (lin({"P'": Fraction(1, 2)}),
+        m = MODELS["a"]
+        assert m.tag == "p"
+        assert m.upper.named == (lin({"P'": 1, "P": -1}),)
+        assert m.lower.named == (lin({"P'": 1}),)
+        assert m.etas == (lin({"P'": Fraction(1, 2)}),
                           lin({"P'": Fraction(1, 2), "P": Fraction(-1, 2)}))
-        assert p.ratio is None
-        assert p.largest_f == lin({"P'": 1})
-        assert p.largest_f_multiplicity_lower_bound == 1
-        assert p.side == "upper"
+        assert m.ratio is None
+        assert m.upper.e_count == lin({"M": 1})
+        assert m.lower.e_count == lin({"M": 1, "P": -1})
 
     def test_balanced_double_drop(self):
-        p = profile("b")
-        assert p.ratio == Fraction(3, 2)
-        assert p.deltas == (lin({"P": Fraction(1, 2)}), lin({"P": Fraction(1, 2)}))
-        assert p.etas == (lin({"P": Fraction(1, 2)}), lin({"P": Fraction(1, 4)}))
-        assert p.largest_f == lin({"P": Fraction(1, 2)})
-        assert p.largest_f_multiplicity_lower_bound == 2
+        m = MODELS["b"]
+        assert m.ratio == Fraction(3, 2)
+        assert m.upper.named == ()
+        assert m.lower.named == (lin({"P": Fraction(1, 2)}),
+                                 lin({"P": Fraction(1, 2)}))
+        assert m.etas == (lin({"P": Fraction(1, 2)}), lin({"P": Fraction(1, 4)}))
 
     def test_mirrored_uneven_double_drop(self):
-        p = profile("c'")
-        assert p.ratio == Fraction(4, 3)
-        assert p.base.set_tag == "q"
-        assert p.side == "lower"
-        assert p.deltas == (lin({"P": Fraction(2, 3)}), lin({"P": Fraction(1, 3)}))
-        assert p.etas == (lin({"P": Fraction(1, 2)}), lin({"P": Fraction(1, 6)}))
+        m = MODELS["c'"]
+        assert m.ratio == Fraction(4, 3)
+        assert m.tag == "q"
+        assert m.upper.named == (lin({"P": Fraction(2, 3)}),
+                                 lin({"P": Fraction(1, 3)}))
+        assert m.lower.named == ()
+        assert m.upper.e_count == lin({"M": 1, "P": -1})
+        assert m.etas == (lin({"P": Fraction(1, 2)}), lin({"P": Fraction(1, 6)}))
+
+    def test_mirror_swaps_tag_and_sides(self):
+        """t' is t governed by the other set with its two sides swapped,
+        elliptic counts included."""
+        for t in TYPES:
+            m, w = MODELS[t], MODELS[mirror(t)]
+            assert {m.tag, w.tag} == {"p", "q"}
+            assert (w.upper, w.lower) == (m.lower, m.upper)
+            assert (w.etas, w.ratio) == (m.etas, m.ratio)
 
     def test_every_value_sits_on_the_twelfth_grid(self):
-        """After substituting the fixed ratio, every profile action is an
-        integer multiple of P/12."""
-        for t in TYPES:
-            p = profile(t)
-            for e in list(p.deltas) + list(p.etas) + [p.largest_f]:
+        """After substituting the fixed ratio, every pinned value and eta
+        value is an integer multiple of P/12."""
+        for m in MODELS.values():
+            for e in m.upper.named + m.lower.named + m.etas:
                 coeff = e.get("P", Fraction(0))
-                if p.ratio is not None:
-                    coeff += e.get("P'", Fraction(0)) * p.ratio
+                if m.ratio is not None:
+                    coeff += e.get("P'", Fraction(0)) * m.ratio
                     assert coeff.denominator in (1, 2, 3, 4, 6, 12)
                 else:
                     for v in e.values():
@@ -104,7 +117,7 @@ class TestProfiles:
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
-            profile("z")
+            compatible("z", "a")
 
 
 class TestPairTable:
