@@ -26,6 +26,7 @@ and lists integrality notes such as "3P/2 integral".
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -235,17 +236,50 @@ def _member_facts(system: RelationSystem, elim: Eliminator) -> list[Inequality]:
     return [f for f in facts if f.coeffs]
 
 
-def _forced_nonpositive(system, facts: list[Inequality], reduced: LinExpr) -> bool:
-    """True when reduced > 0 is impossible given member order facts alone."""
+def _forced_nonpositive(system, facts: Callable[[], list[Inequality]],
+                        reduced: LinExpr) -> bool:
+    """True when reduced > 0 is impossible given member order facts alone.
+
+    `facts` returns those facts; it is called only when they are read."""
     kinds = {system.symbols[s].kind for s in reduced if s != CONST}
     if kinds & {ACTION, COUNT}:
         return False  # a free action/count leaves the sign undetermined
-    ineqs = facts + [Inequality(reduced, strict=True)]
+    ineqs = facts() + [Inequality(reduced, strict=True)]
     variables = sorted({s for iq in ineqs for s in iq.coeffs if s != CONST})
     return not fm_solve(ineqs, variables).feasible
 
 
-def solve(system: RelationSystem) -> Verdict:
+def _eliminate(relations: list[Relation], order: list[str],
+               prefixes: dict) -> Eliminator:
+    """The eliminator over `order` after adding `relations` in turn.
+
+    `prefixes` is a trie of the relation prefixes eliminated so far: it maps
+    an elimination order to its root node, and a node is a triple
+    (eliminator, children, relation) whose children are keyed by the identity
+    of the next relation.  A prefix already in the trie is not eliminated
+    again; a new one copies its parent's eliminator and adds one relation.
+    The walk stops at the first inconsistent prefix, because later adds never
+    change `inconsistent` and a caller reads nothing else then.  Each node
+    holds its relation, so an identity key cannot be reused while the trie
+    lives.
+    """
+    key = tuple(order)
+    node = prefixes.get(key)
+    if node is None:
+        node = prefixes[key] = (Eliminator(order), {}, None)
+    for r in relations:
+        elim, children, _ = node
+        if elim.inconsistent is not None:
+            break
+        node = children.get(id(r))
+        if node is None:
+            elim = elim.copy()
+            elim.add(r.coeffs, r.label)
+            node = children[id(r)] = (elim, {}, r)
+    return node[0]
+
+
+def solve(system: RelationSystem, prefixes: dict | None = None) -> Verdict:
     """Decide the eps->0 limit of the system exactly.
 
     Every side-constraint rule that fires is detected, and the verdict is the
@@ -253,12 +287,14 @@ def solve(system: RelationSystem) -> Verdict:
     A certificate, with its combination and eps bound, is built only for the
     verdict returned; a check that could not beat the rule already found is
     skipped.
+
+    Systems solved with one `prefixes` dict share the elimination of their
+    common relation prefixes (see `_eliminate`); their relations must not be
+    mutated while it is in use.  Without it the system is eliminated alone.
     """
     system.validate()
     order = _elimination_order(system.symbols)
-    elim = Eliminator(order)
-    for r in system.relations:
-        elim.add(r.coeffs, r.label)
+    elim = _eliminate(system.relations, order, {} if prefixes is None else prefixes)
 
     if elim.inconsistent is not None:
         row = elim.inconsistent
@@ -273,7 +309,7 @@ def solve(system: RelationSystem) -> Verdict:
         )
 
     diseqs = _auto_disequalities(system)
-    facts = _member_facts(system, elim)
+    facts = None  # the member order facts, built on first use
     best = None  # (rank, rule, expr, human) of the winning rule so far
 
     def fire(rule: str, expr: LinExpr, human: str):
@@ -283,13 +319,19 @@ def solve(system: RelationSystem) -> Verdict:
     def beats(rule: str) -> bool:
         return best is None or rule_rank(rule) < best[0]
 
+    def member_facts() -> list[Inequality]:
+        nonlocal facts
+        if facts is None:
+            facts = _member_facts(system, elim)
+        return facts
+
     def check(expr, zero_rule, zero_human, nonpos_rule, nonpos_name):
         if not beats(zero_rule):  # each zero rule ranks above its nonpositive rule
             return
         reduced = elim.reduce_expr(expr)
         if not reduced:
             fire(zero_rule, expr, zero_human)
-        elif beats(nonpos_rule) and _forced_nonpositive(system, facts, reduced):
+        elif beats(nonpos_rule) and _forced_nonpositive(system, member_facts, reduced):
             fire(nonpos_rule, expr,
                  f"{nonpos_name} = {expr_str(reduced)} cannot be positive")
 
@@ -359,20 +401,21 @@ def solve(system: RelationSystem) -> Verdict:
     )
 
 
-def _avoid_disequalities(ineqs, variables, dis_exprs, depth=0):
+def _avoid_disequalities(ineqs, variables, dis_exprs):
     """Sample point satisfying the inequalities and avoiding every hyperplane
-    in dis_exprs, branching a violated disequality into its two strict sides."""
+    in dis_exprs, branching a violated disequality into its two strict sides.
+
+    A strict side rules its hyperplane out for the rest of the path, so the
+    depth is at most the number of disequalities and needs no cap."""
     res = fm_solve(ineqs, variables)
     if not res.feasible:
         return None
     sample = res.sample
     for e in dis_exprs:
         if _eval(e, sample) == 0:
-            if depth > 10:
-                return None
             for sign in (1, -1):
                 branched = ineqs + [Inequality(scale_expr(e, sign), strict=True)]
-                out = _avoid_disequalities(branched, variables, dis_exprs, depth + 1)
+                out = _avoid_disequalities(branched, variables, dis_exprs)
                 if out is not None:
                     return out
             return None

@@ -12,6 +12,12 @@ row has coefficient 1 on its own pivot symbol and holds no other pivot
 symbol.  Subtracting a pivot row therefore removes its pivot from the row
 being reduced and brings in only non-pivot symbols, so a single pass over
 the pivot symbols present at the start reduces a row completely.
+
+`Eliminator.copy` is shallow: the copy has its own pivot dict but shares the
+`Row` objects, the symbol order and any inconsistent row with the original.
+That is safe because `add` replaces a pivot row by a new `Row` and never
+mutates one, so adding to either eliminator leaves the other unchanged.  A
+caller can therefore eliminate a shared relation prefix once and branch.
 """
 
 from __future__ import annotations
@@ -104,6 +110,15 @@ class Eliminator:
         self.rank = {s: i for i, s in enumerate(order)}
         self.pivots: dict[str, Row] = {}
         self.inconsistent: Row | None = None
+
+    def copy(self) -> "Eliminator":
+        """An eliminator in the same state that adds independently of this
+        one; it shares the (never mutated) rows."""
+        out = Eliminator.__new__(Eliminator)
+        out.order, out.rank = self.order, self.rank
+        out.pivots = dict(self.pivots)
+        out.inconsistent = self.inconsistent
+        return out
 
     def reduce_row(self, row: Row) -> Row:
         """Subtract the pivot rows of the pivot symbols in row, in key order."""

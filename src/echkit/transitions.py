@@ -333,10 +333,15 @@ def joint_scenarios(t1: str, t2: str, full: bool) -> list[RelationSystem]:
 
 def _decide(systems: list[RelationSystem]) -> Verdict:
     """The first feasible verdict, else the infeasible one whose rule ranks
-    first (ties go to the earlier system)."""
+    first (ties go to the earlier system).
+
+    The systems share relation objects (base, pair-rule branch, matching
+    branch), so one prefix trie for the call eliminates each shared prefix
+    once."""
+    prefixes: dict = {}
     infeasible = []
     for system in systems:
-        v = solve(system)
+        v = solve(system, prefixes)
         if v.feasible:
             return v
         infeasible.append(v)

@@ -154,6 +154,25 @@ class TestDisequalitySampler:
         k = v.sample["k"]
         assert 1 <= k <= 3 and k != 2
 
+    def test_deep_branching_still_finds_a_point(self):
+        """0 < k < 4096 with k != 1, ..., 4095: the sampler halves towards
+        4096 and hits a hyperplane at every step, twelve levels deep, before
+        k = 8191/2 avoids them all."""
+        top = 4096
+        system = RelationSystem(
+            {"k": Sym("k", "count")},
+            [],
+            inequalities=[Inequality(lin({"k": -1, CONST: top}), strict=True,
+                                     label="k<top")],
+            disequalities=[Disequality(lin({"k": 1, CONST: -i}),
+                                       rule="cross_set", label=f"k!={i}")
+                           for i in range(1, top)],
+        )
+        v = solve(system)
+        assert isinstance(v, Feasible)
+        k = v.sample["k"]
+        assert 0 < k < top and k.denominator != 1
+
 
 class TestZeroCoefficients:
     """A zero term is dropped when the relation is built; the count E comes

@@ -74,6 +74,32 @@ def test_reduce_expr_is_reduce_row_without_combo(exs, e):
     assert list(got.items()) == list(elim.reduce_row(Row(e, {})).expr.items())
 
 
+def state(elim: Eliminator):
+    """Pivot rows and the inconsistent row, key order included."""
+    rows = {p: (list(r.expr.items()), list(r.combo.items()))
+            for p, r in elim.pivots.items()}
+    bad = elim.inconsistent
+    return rows, None if bad is None else (list(bad.expr.items()),
+                                           list(bad.combo.items()))
+
+
+def add_all(elim: Eliminator, exs, tag: str) -> Eliminator:
+    for i, e in enumerate(exs):
+        elim.add(e, f"{tag}{i}")
+    return elim
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems, systems)
+def test_copy_adds_independently(prefix, suffix):
+    elim = add_all(Eliminator(SYMS), prefix, "p")
+    before = state(elim)
+    fork = add_all(elim.copy(), suffix, "s")
+    assert state(elim) == before
+    whole = add_all(add_all(Eliminator(SYMS), prefix, "p"), suffix, "s")
+    assert state(fork) == state(whole)
+
+
 @settings(max_examples=200, deadline=None)
 @given(rows, rows, st.one_of(coeff, st.just(Fraction(0))))
 def test_minus_matches_scale_then_subtract(r1, r2, c):

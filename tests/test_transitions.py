@@ -1,12 +1,15 @@
 """Transition models, pair compatibility tables, chains, and the grid map."""
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from echkit import linear, transitions
+from echkit.feasibility import solve
 from echkit.linear import lin
 from echkit.transitions import (
     ALLOWED_PAIRS,
@@ -164,9 +167,57 @@ class TestPairTable:
         assert v.sample is not None
 
 
+def verdict_fields(v) -> tuple:
+    """Everything a verdict reports, in dict key order."""
+    if v.feasible:
+        sample = None if v.sample is None else list(v.sample.items())
+        return ([(s, list(e.items())) for s, e in v.solution.items()],
+                v.free, v.notes, sample)
+    c = v.certificate
+    return (c.rule, list(c.equation.items()), list(c.combo.items()),
+            c.eps_bound, c.human)
+
+
+SCENARIO_LISTS = {
+    "skeleton": lambda: [joint_scenarios(t1, t2, False) for t1 in TYPES for t2 in TYPES],
+    "full": lambda: [joint_scenarios(t1, t2, True) for t1 in TYPES for t2 in TYPES],
+    **{"chain:" + "-".join(t): (lambda t=t: [_joint_chain_scenarios(*t)])
+       for t in DIGEST_CHAINS},
+}
+
+
 class TestScenarioSystems:
     def test_scenario_digest(self):
         assert scenario_digest() == SCENARIO_DIGEST
+
+    @pytest.mark.parametrize("name", SCENARIO_LISTS)
+    def test_shared_prefixes_decide_as_fresh_solves(self, name):
+        """Each list shares one prefix trie, as in a pair's or chain's
+        decision; every verdict equals the system solved alone."""
+        for systems in SCENARIO_LISTS[name]():
+            prefixes: dict = {}
+            for system in systems:
+                assert (verdict_fields(solve(system, prefixes))
+                        == verdict_fields(solve(system))), system.label
+
+    def test_pair_report_work_counts(self, monkeypatch):
+        """Deterministic work of the pair table: one solve per scenario run
+        until a pair turns feasible, and each shared relation prefix is
+        eliminated once per pair (21,538 adds when every system was
+        eliminated alone)."""
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(linear.Eliminator, "add",
+                            counted("add", linear.Eliminator.add))
+        monkeypatch.setattr(transitions, "solve", counted("solve", transitions.solve))
+        pair_report()
+        assert counts == {"solve": 2650, "add": 2494}
 
 
 class TestChains:
