@@ -1,11 +1,10 @@
 """Run the benchmark on two checkouts and record the result as BENCH_<n>.json.
 
-    python3 scripts/bench.py --number N [--parent DIR] [--pairs 10] \
-        [--seconds 30] [--seed 7919] [--workloads tables spectrum stheta]
+    python3 scripts/bench.py --number N --parent DIR [--seconds 30] [--seed 31337]
 
-Each workload runs `perfbench/run.py` in this checkout (the change) and, with
-`--parent`, in another checkout of the commit before it, one after the other
-in `--pairs` pairs; the side that runs first alternates.  One traced run per
+Each of the three workloads runs `perfbench/run.py` in this checkout (the
+change) and in `--parent`, a checkout of the commit before it, one after the
+other in ten pairs; the side that runs first alternates.  One traced run per
 side and workload then gives the exact counters.  The file written to the
 root of this checkout holds, per workload and side, every run's gated
 metrics, their medians and quartiles, how many pairs the change won on each
@@ -24,6 +23,8 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10
+WORKLOADS = ("tables", "spectrum", "stheta")
 
 
 def run(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -40,13 +41,11 @@ def run(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> 
 
 def summary(runs: list[dict], names: list[str]) -> dict:
     values = {n: [r["result"]["metrics"][n]["value"] for r in runs] for n in names}
-    out = {"runs": values,
-           "median": {n: statistics.median(v) for n, v in values.items()}}
-    if len(runs) >= 2:
-        out["quartiles"] = {n: statistics.quantiles(v, n=4, method="inclusive")[::2]
-                            for n, v in values.items()}
-    out["correct"] = all(r["result"]["correct"] for r in runs)
-    return out
+    return {"runs": values,
+            "median": {n: statistics.median(v) for n, v in values.items()},
+            "quartiles": {n: statistics.quantiles(v, n=4, method="inclusive")[::2]
+                          for n, v in values.items()},
+            "correct": all(r["result"]["correct"] for r in runs)}
 
 
 def counters(traced: dict) -> dict:
@@ -60,25 +59,22 @@ def counters(traced: dict) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--number", type=int, required=True)
-    p.add_argument("--parent", help="root of a checkout of the parent commit")
-    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--parent", required=True,
+                   help="root of a checkout of the parent commit")
     p.add_argument("--seconds", type=float, default=30)
-    p.add_argument("--seed", type=int, default=7919)
-    p.add_argument("--workloads", nargs="+", default=["tables", "spectrum", "stheta"])
+    p.add_argument("--seed", type=int, default=31337)
     args = p.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         gated = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-    sides = {"change": ROOT}
-    if args.parent:
-        sides["parent"] = os.path.abspath(args.parent)
+    sides = {"change": ROOT, "parent": os.path.abspath(args.parent)}
 
     report = {"number": args.number, "python": platform.python_version(),
               "cpus": os.cpu_count(), "seed": args.seed, "seconds": args.seconds,
-              "pairs": args.pairs, "commits": {}, "workloads": {}}
-    for workload in args.workloads:
+              "pairs": PAIRS, "commits": {}, "workloads": {}}
+    for workload in WORKLOADS:
         runs = {side: [] for side in sides}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = list(sides) if i % 2 else list(sides)[::-1]
             for side in order:
                 runs[side].append(run(sides[side], workload, args.seed,
@@ -92,12 +88,11 @@ def main(argv=None) -> int:
             report["commits"][side] = traced["provenance"]["commit"]
             entry[side] = {**summary(runs[side], list(gated)),
                            "counters": counters(traced)}
-        if "parent" in runs:
-            entry["change_wins"] = {
-                n: sum((c < q) if better == "lower" else (c > q)
-                       for c, q in zip(entry["change"]["runs"][n],
-                                       entry["parent"]["runs"][n]))
-                for n, better in gated.items()}
+        entry["change_wins"] = {
+            n: sum((c < q) if better == "lower" else (c > q)
+                   for c, q in zip(entry["change"]["runs"][n],
+                                   entry["parent"]["runs"][n]))
+            for n, better in gated.items()}
         report["workloads"][workload] = entry
 
     path = os.path.join(ROOT, f"BENCH_{args.number}.json")
