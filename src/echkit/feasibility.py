@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .linear import (
     CONST,
@@ -103,10 +104,15 @@ class RelationSystem:
 
     def validate(self):
         known = set(self.symbols) | {CONST}
+        labels = set()
         for r in self.relations:
             missing = set(r.coeffs) - known
             if missing:
                 raise ValueError(f"relation {r.label} uses unknown symbols {missing}")
+            # a certificate's combination is keyed by label
+            if r.label in labels:
+                raise ValueError(f"relation label {r.label} is repeated")
+            labels.add(r.label)
 
 
 @dataclass
@@ -125,13 +131,26 @@ class Certificate:
     human: str
 
 
-@dataclass
 class Infeasible:
-    certificate: Certificate
-    feasible: bool = False
+    """A verdict of infeasibility by `rule`.
+
+    Its certificate is built when first read, by the zero-argument `certify`:
+    a caller that only ranks verdicts by rule, as `transitions._decide` does,
+    never pays for the certificate of a verdict it discards.
+    """
+
+    feasible = False
+
+    def __init__(self, rule: str, certify: Callable[[], Certificate]):
+        self.rule = rule
+        self._certify = certify
+
+    @cached_property
+    def certificate(self) -> Certificate:
+        return self._certify()
 
     def __str__(self):
-        return f"Infeasible[{self.certificate.rule}: {self.certificate.human}]"
+        return f"Infeasible[{self.rule}: {self.certificate.human}]"
 
 
 @dataclass
@@ -172,8 +191,11 @@ _RULE_PRIORITY = [
 ]
 
 
+_RULE_RANK = {rule: i for i, rule in enumerate(_RULE_PRIORITY)}
+
+
 def rule_rank(rule: str) -> int:
-    return _RULE_PRIORITY.index(rule) if rule in _RULE_PRIORITY else len(_RULE_PRIORITY)
+    return _RULE_RANK.get(rule, len(_RULE_PRIORITY))
 
 
 def _elimination_order(symbols: dict[str, Sym]) -> list[str]:
@@ -215,7 +237,7 @@ def _auto_disequalities(system: RelationSystem) -> list[Disequality]:
         if s.kind == SUCCESSOR and system.symbols[s.base].greater_than_one:
             out.append(
                 Disequality(
-                    lin({name: 1, s.base: -2}),
+                    {name: 1, s.base: -2},
                     rule="gap_equals_member",
                     label=f"gap({name},{s.base})!={s.base}",
                 )
@@ -228,23 +250,24 @@ def _member_facts(system: RelationSystem, elim: Eliminator) -> list[Inequality]:
     facts = []
     for name, s in system.symbols.items():
         if s.kind == MEMBER:
-            low = lin({name: 1, CONST: -1}) if s.greater_than_one else lin({name: 1})
+            low = {name: 1, CONST: -1} if s.greater_than_one else {name: 1}
             facts.append(Inequality(elim.reduce_expr(low), strict=True))
         elif s.kind == SUCCESSOR:
-            facts.append(Inequality(elim.reduce_expr(lin({name: 1, s.base: -1})),
+            facts.append(Inequality(elim.reduce_expr({name: 1, s.base: -1}),
                                     strict=True))
     return [f for f in facts if f.coeffs]
 
 
 def _forced_nonpositive(system, facts: Callable[[], list[Inequality]],
-                        reduced: LinExpr) -> bool:
-    """True when reduced > 0 is impossible given member order facts alone.
+                        reduced: Row) -> bool:
+    """True when the reduced expression > 0 is impossible given member order
+    facts alone.
 
     `facts` returns those facts; it is called only when they are read."""
-    kinds = {system.symbols[s].kind for s in reduced if s != CONST}
+    kinds = {system.symbols[s].kind for s in reduced.num if s != CONST}
     if kinds & {ACTION, COUNT}:
         return False  # a free action/count leaves the sign undetermined
-    ineqs = facts() + [Inequality(reduced, strict=True)]
+    ineqs = facts() + [Inequality(reduced.expr, strict=True)]
     variables = sorted({s for iq in ineqs for s in iq.coeffs if s != CONST})
     return not fm_solve(ineqs, variables).feasible
 
@@ -279,14 +302,37 @@ def _eliminate(relations: list[Relation], order: list[str],
     return node[0]
 
 
+# the zero rule and the nonpositive rule of each symbol kind
+_SIGN_RULES = {
+    ACTION: ("action_zero", "action_nonpositive"),
+    MEMBER: ("member_zero", "member_nonpositive"),
+    SUCCESSOR: ("member_zero", "member_nonpositive"),
+    COUNT: ("count_zero", "count_nonpositive"),
+}
+
+
+def _certificate(rule: str, expr: LinExpr, human: str, elim: Eliminator,
+                 relations: tuple[Relation, ...]) -> Certificate:
+    """The certificate of a side-constraint rule fired on expr: the part of
+    expr that the relations force, with its combination and eps bound."""
+    row = elim.reduce_row(Row(expr))
+    eps_of = {r.label: r.eps_multiple for r in relations}
+    combo = {k: Fraction(-v, row.den) for k, v in row.combo_num.items()}
+    eps = sum((abs(c) * eps_of[l] for l, c in combo.items()), Fraction(0))
+    equation = sub_expr({k: Fraction(v) for k, v in expr.items()}, row.expr)
+    return Certificate(rule, equation, combo, eps, human)
+
+
 def solve(system: RelationSystem, prefixes: dict | None = None) -> Verdict:
     """Decide the eps->0 limit of the system exactly.
 
     Every side-constraint rule that fires is detected, and the verdict is the
     first of them in `_RULE_PRIORITY` order (ties go to the earlier check).
-    A certificate, with its combination and eps bound, is built only for the
-    verdict returned; a check that could not beat the rule already found is
-    skipped.
+    Zero checks are decided on the eliminator's integer rows; a check that
+    could not beat the rule already found is skipped.  The certificate, with
+    its combination and eps bound, is built from the eliminator and the
+    relations when the verdict's `certificate` is first read, so the system's
+    relations must not be mutated before then.
 
     Systems solved with one `prefixes` dict share the elimination of their
     common relation prefixes (see `_eliminate`); their relations must not be
@@ -298,15 +344,9 @@ def solve(system: RelationSystem, prefixes: dict | None = None) -> Verdict:
 
     if elim.inconsistent is not None:
         row = elim.inconsistent
-        return Infeasible(
-            Certificate(
-                "contradictory_equations",
-                row.expr,
-                dict(row.combo),
-                None,
-                f"relations force {expr_str(row.expr)} = 0",
-            )
-        )
+        return Infeasible("contradictory_equations", lambda: Certificate(
+            "contradictory_equations", row.expr, row.combo, None,
+            f"relations force {expr_str(row.expr)} = 0"))
 
     diseqs = _auto_disequalities(system)
     facts = None  # the member order facts, built on first use
@@ -328,38 +368,30 @@ def solve(system: RelationSystem, prefixes: dict | None = None) -> Verdict:
     def check(expr, zero_rule, zero_human, nonpos_rule, nonpos_name):
         if not beats(zero_rule):  # each zero rule ranks above its nonpositive rule
             return
-        reduced = elim.reduce_expr(expr)
-        if not reduced:
+        reduced = elim.reduce(expr)
+        if not reduced.num:
             fire(zero_rule, expr, zero_human)
         elif beats(nonpos_rule) and _forced_nonpositive(system, member_facts, reduced):
             fire(nonpos_rule, expr,
-                 f"{nonpos_name} = {expr_str(reduced)} cannot be positive")
+                 f"{nonpos_name} = {expr_str(reduced.expr)} cannot be positive")
 
     for d in diseqs:
-        if beats(d.rule) and not elim.reduce_expr(d.coeffs):
+        if beats(d.rule) and not elim.reduce(d.coeffs).num:
             fire(d.rule, d.coeffs, f"relations force {expr_str(d.coeffs)} = 0")
     for name in order:
         s = system.symbols[name]
-        kind_rule = {ACTION: "action", MEMBER: "member",
-                     SUCCESSOR: "member", COUNT: "count"}[s.kind]
-        check(lin({name: 1}), f"{kind_rule}_zero", f"{name} is forced to vanish",
-              f"{kind_rule}_nonpositive", name)
+        zero_rule, nonpos_rule = _SIGN_RULES[s.kind]
+        check({name: 1}, zero_rule, f"{name} is forced to vanish", nonpos_rule, name)
         if s.kind == SUCCESSOR:
-            check(lin({name: 1, s.base: -1}), "successor_equal",
+            check({name: 1, s.base: -1}, "successor_equal",
                   f"{name} = {s.base} is forced",
                   "successor_not_greater", f"{name} - {s.base}")
 
     if best is not None:
         _, rule, expr, human = best
-        row = elim.reduce_row(Row(expr, {}))
-        eps_of: dict = {}
-        for r in system.relations:  # a repeated label takes its first multiple
-            eps_of.setdefault(r.label, r.eps_multiple)
-        combo = {k: -v for k, v in row.combo.items()}
-        eps = sum((abs(c) * eps_of.get(l, Fraction(0)) for l, c in combo.items()),
-                  Fraction(0))
-        return Infeasible(Certificate(rule, sub_expr(expr, row.expr),
-                                      combo, eps, human))
+        relations = tuple(system.relations)
+        return Infeasible(rule, lambda: _certificate(rule, expr, human, elim,
+                                                     relations))
 
     ineqs = [Inequality(elim.reduce_expr(iq.coeffs), iq.strict, iq.label)
              for iq in _auto_inequalities(system)]
@@ -370,10 +402,8 @@ def solve(system: RelationSystem, prefixes: dict | None = None) -> Verdict:
         human = "side constraints admit no solution"
         if c is not None and c.label:
             human += f" (from {c.label})"
-        return Infeasible(
-            Certificate("incompatible_inequalities",
-                        c.coeffs if c else {}, {}, None, human)
-        )
+        return Infeasible("incompatible_inequalities", lambda: Certificate(
+            "incompatible_inequalities", c.coeffs if c else {}, {}, None, human))
 
     reduced_ds = [(d, elim.reduce_expr(d.coeffs)) for d in diseqs]
     sample = res.sample
@@ -383,13 +413,11 @@ def solve(system: RelationSystem, prefixes: dict | None = None) -> Verdict:
         )
         if sample is None:
             d = next(d for d, e in reduced_ds if e and _eval(e, res.sample) == 0)
-            return Infeasible(
-                Certificate(
-                    "forced_disequality", dict(d.coeffs), {}, None,
-                    f"{expr_str(d.coeffs)} = 0 on the whole feasible region "
-                    f"(rule {d.rule})",
-                )
-            )
+            return Infeasible("forced_disequality", lambda: Certificate(
+                "forced_disequality", {k: Fraction(v) for k, v in d.coeffs.items()},
+                {}, None,
+                f"{expr_str(d.coeffs)} = 0 on the whole feasible region "
+                f"(rule {d.rule})"))
 
     solution = {s: elim.solution_expr(s) for s in order if s in elim.pivots}
     free = [s for s in order if s not in elim.pivots]

@@ -1,17 +1,26 @@
 """Exact linear algebra over the rationals with provenance tracking.
 
-Sparse linear expressions are dicts symbol -> Fraction; the key "1" holds the
-constant term.  Gaussian elimination keeps, for every derived row, the
-rational combination of input rows that produced it, so a contradiction can
-be replayed against the original system.  A small Fourier-Motzkin layer
-decides strict/nonstrict inequality systems and extracts a rational sample
-point on success.
+Sparse linear expressions are dicts symbol -> rational (a Fraction or an
+int); the key "1" holds the constant term.  Gaussian elimination keeps, for
+every derived row, the rational combination of input rows that produced it,
+so a contradiction can be replayed against the original system.  A small
+Fourier-Motzkin layer decides strict/nonstrict inequality systems and
+extracts a rational sample point on success.
 
 The eliminator keeps its pivot rows in reduced row echelon form: each pivot
 row has coefficient 1 on its own pivot symbol and holds no other pivot
 symbol.  Subtracting a pivot row therefore removes its pivot from the row
 being reduced and brings in only non-pivot symbols, so a single pass over
 the pivot symbols present at the start reduces a row completely.
+
+Rows are fraction-free: a `Row` stores integer numerators for its expression
+and its combination over one positive denominator, divided by their gcd once
+per row built, and elimination runs in integer arithmetic.  Fractions are
+formed only where a value leaves the eliminator: `Row.expr`/`Row.combo`
+(certificates), `reduce_expr` (inputs to `fm_solve`) and `solution_expr`.
+The values are the rationals the same operations give over `Fraction`, and
+a row's keys are added and dropped in the same order, which matters because
+key order steers pivot choice.  `fm_solve` works on Fractions.
 
 `Eliminator.copy` is shallow: the copy has its own pivot dict but shares the
 `Row` objects, the symbol order and any inconsistent row with the original.
@@ -22,12 +31,13 @@ caller can therefore eliminate a shared relation prefix once and branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 CONST = "1"
 
-LinExpr = dict  # symbol -> Fraction
+LinExpr = dict  # symbol -> rational (Fraction or int)
 
 
 def lin(pairs: dict) -> LinExpr:
@@ -81,28 +91,85 @@ def expr_str(a: LinExpr) -> str:
     return "".join(parts)
 
 
-@dataclass
 class Row:
-    """A linear equation expr = 0 together with its provenance combination."""
+    """A linear equation expr = 0 together with its provenance combination.
 
-    expr: LinExpr
-    combo: dict = field(default_factory=dict)  # input label -> multiplier
+    The row is stored as integers: the numerators `num` of the expression
+    and `combo_num` of the combination, over one positive denominator `den`,
+    with gcd(den, every numerator) = 1, so a rational row has exactly one
+    stored form.  `Row(expr, combo)` takes rational values; `expr` and
+    `combo` give them back as Fractions.
+    """
 
-    def scaled(self, c) -> "Row":
-        return Row(scale_expr(self.expr, c), {k: v * c for k, v in self.combo.items()})
+    __slots__ = ("num", "combo_num", "den")
+
+    def __init__(self, expr: LinExpr, combo: dict | None = None):
+        combo = combo or {}
+        den = lcm(*(v.denominator for v in expr.values()),
+                  *(v.denominator for v in combo.values()))
+        self.num = {k: v.numerator * (den // v.denominator) for k, v in expr.items()}
+        self.combo_num = {k: v.numerator * (den // v.denominator)
+                          for k, v in combo.items()}
+        self.den = den
+
+    @classmethod
+    def _normalised(cls, num: dict, combo_num: dict, den: int) -> "Row":
+        """The row num/den with combination combo_num/den (den > 0), divided
+        in place by the gcd of all its integers."""
+        g = gcd(den, *num.values(), *combo_num.values())
+        if g != 1:
+            for k in num:
+                num[k] //= g
+            for k in combo_num:
+                combo_num[k] //= g
+            den //= g
+        row = cls.__new__(cls)
+        row.num, row.combo_num, row.den = num, combo_num, den
+        return row
+
+    @property
+    def expr(self) -> LinExpr:
+        return {k: Fraction(v, self.den) for k, v in self.num.items()}
+
+    @property
+    def combo(self) -> dict:
+        return {k: Fraction(v, self.den) for k, v in self.combo_num.items()}
 
     def minus(self, other: "Row", c) -> "Row":
-        expr, combo = dict(self.expr), dict(self.combo)
-        _sub_scaled(expr, other.expr, c)
-        _sub_scaled(combo, other.combo, c)
-        return Row(expr, combo)
+        """self - c*other."""
+        c = Fraction(c)
+        # over the denominator den*a, self is num*a and c*other is b*other.num
+        a, b = other.den * c.denominator, c.numerator * self.den
+        num = {k: v * a for k, v in self.num.items()}
+        combo = {k: v * a for k, v in self.combo_num.items()}
+        if b:
+            _sub_scaled(num, other.num, b)
+            _sub_scaled(combo, other.combo_num, b)
+        return Row._normalised(num, combo, self.den * a)
+
+
+def _cancel(num: dict, combo: dict | None, sym: str, prow: Row) -> int:
+    """Remove sym from the row num/den, in place, by subtracting the multiple
+    num[sym]/den of the pivot row prow (coefficient 1 on sym); returns the
+    factor by which den must be multiplied.  combo, when given, is the row's
+    combination numerators and is updated alike."""
+    c, d = num[sym], prow.den
+    if d != 1:
+        for k in num:
+            num[k] *= d
+        if combo is not None:
+            for k in combo:
+                combo[k] *= d
+    _sub_scaled(num, prow.num, c)
+    if combo is not None:
+        _sub_scaled(combo, prow.combo_num, c)
+    return d
 
 
 class Eliminator:
-    """Reduced row echelon over an ordered symbol list.
+    """Reduced row echelon over an ordered symbol list, on integer rows.
 
-    No method mutates a dict it is given: reduce_row and reduce_expr copy
-    before they subtract pivot rows in place.
+    No method mutates a dict or a Row it is given.
     """
 
     def __init__(self, order: list[str]):
@@ -120,43 +187,56 @@ class Eliminator:
         out.inconsistent = self.inconsistent
         return out
 
+    def _reduce(self, num: dict, combo: dict | None, den: int) -> Row:
+        """The row num/den reduced, consuming the dicts num and combo."""
+        for sym in [s for s in num if s in self.pivots]:
+            den *= _cancel(num, combo, sym, self.pivots[sym])
+        return Row._normalised(num, {} if combo is None else combo, den)
+
     def reduce_row(self, row: Row) -> Row:
         """Subtract the pivot rows of the pivot symbols in row, in key order."""
-        expr, combo = dict(row.expr), dict(row.combo)
-        for sym in [s for s in expr if s in self.pivots]:
-            prow, c = self.pivots[sym], expr[sym]
-            _sub_scaled(expr, prow.expr, c)
-            _sub_scaled(combo, prow.combo, c)
-        return Row(expr, combo)
+        return self._reduce(dict(row.num), dict(row.combo_num), row.den)
+
+    def reduce(self, e: LinExpr) -> Row:
+        """e reduced by the pivot rows, as a Row without a combination:
+        `num` is empty exactly when the relations force e = 0."""
+        row = Row(e)
+        return self._reduce(row.num, None, row.den)
 
     def reduce_expr(self, e: LinExpr) -> LinExpr:
         """reduce_row(Row(e, {})).expr, without tracking a combination."""
-        expr = dict(e)
-        for sym in [s for s in expr if s in self.pivots]:
-            _sub_scaled(expr, self.pivots[sym].expr, expr[sym])
-        return expr
+        return self.reduce(e).expr
 
     def add(self, expr: LinExpr, label: str):
-        row = self.reduce_row(Row(expr, {label: Fraction(1)}))
-        syms = [s for s in row.expr if s != CONST]
+        row = self.reduce_row(Row(expr, {label: 1}))
+        num, combo = row.num, row.combo_num
+        syms = [s for s in num if s != CONST]
         if not syms:
-            if row.expr:  # 0 = nonzero constant
+            if num:  # 0 = nonzero constant
                 if self.inconsistent is None:
                     self.inconsistent = row
             return
         pivot = min(syms, key=lambda s: self.rank.get(s, len(self.order)))
-        row = row.scaled(Fraction(1) / row.expr[pivot])
+        # dividing by the pivot coefficient num[pivot]/den leaves the
+        # numerators over the denominator num[pivot]
+        lead = num[pivot]
+        if lead < 0:
+            num = {k: -v for k, v in num.items()}
+            combo = {k: -v for k, v in combo.items()}
+        row = Row._normalised(num, combo, abs(lead))
         # keep earlier pivots fully reduced
         for p, prow in list(self.pivots.items()):
-            if pivot in prow.expr:
-                self.pivots[p] = prow.minus(row, prow.expr[pivot])
+            if pivot in prow.num:
+                num, combo = dict(prow.num), dict(prow.combo_num)
+                d = _cancel(num, combo, pivot, row)
+                self.pivots[p] = Row._normalised(num, combo, prow.den * d)
         self.pivots[pivot] = row
 
     def solution_expr(self, sym: str) -> LinExpr:
         """sym rewritten over the free symbols (and the constant)."""
         if sym in self.pivots:
             row = self.pivots[sym]
-            return scale_expr(sub_expr(row.expr, {sym: Fraction(1)}), -1)
+            return {k: Fraction(-v, row.den) for k, v in row.num.items() if k != sym}
         return {sym: Fraction(1)}
 
 

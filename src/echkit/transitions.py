@@ -345,7 +345,7 @@ def _decide(systems: list[RelationSystem]) -> Verdict:
         if v.feasible:
             return v
         infeasible.append(v)
-    return min(infeasible, key=lambda v: rule_rank(v.certificate.rule))
+    return min(infeasible, key=lambda v: rule_rank(v.rule))
 
 
 def compatible(t1: str, t2: str, full: bool | None = None) -> Verdict:
@@ -411,6 +411,15 @@ def allowed_pairs() -> list[tuple[str, str]]:
 # -- chains of length three ----------------------------------------------------
 
 
+def _labelled(branches: list[list], v: _SideView, w: _SideView) -> list[list]:
+    """The branches with each relation's label prefixed by the members of the
+    two views it relates, so that the branches taken for different view
+    pairs of one chain system never share a relation label."""
+    prefix = f"{v.b}/{w.b} "
+    return [[replace(p, label=prefix + p.label) if isinstance(p, Relation) else p
+             for p in branch] for branch in branches]
+
+
 def _joint_chain_scenarios(t1: str, t2: str, t3: str) -> list[RelationSystem]:
     """Full joint systems over both middle sets of a chain t1 -> t2 -> t3."""
     v1 = _side_view(t1, 1, "upper")
@@ -424,11 +433,11 @@ def _joint_chain_scenarios(t1: str, t2: str, t3: str) -> list[RelationSystem]:
     base = (_side_base(v1, "Ek") + _side_base(v2_low, "Ek")
             + _side_base(v3, "Ek1") + up)
     branch_dims = [
-        _pair_rules(v1, v2_low),
-        _pair_rules(v2_low, v3),
-        _pair_rules(v1, v3),
-        _matching_branches(v1, v2_low),
-        _matching_branches(v2_up, v3),
+        _labelled(_pair_rules(v1, v2_low), v1, v2_low),
+        _labelled(_pair_rules(v2_low, v3), v2_low, v3),
+        _labelled(_pair_rules(v1, v3), v1, v3),
+        _labelled(_matching_branches(v1, v2_low), v1, v2_low),
+        _labelled(_matching_branches(v2_up, v3), v2_up, v3),
     ]
     return [
         _assemble(symbols, base + [p for part in parts for p in part],

@@ -127,6 +127,19 @@ class TestSolveExamples:
         assert not v.feasible
         assert v.certificate.rule == "action_nonpositive"
 
+    def test_repeated_relation_label_rejected(self):
+        """A certificate's combination is keyed by label, so two relations
+        sharing one would merge their multipliers."""
+        system = RelationSystem(
+            a_context(),
+            [
+                Relation(lin({"D1": 1, "E": -2}), "d1"),
+                Relation(lin({"D2": 1, "E": -2}), "d1"),
+            ],
+        )
+        with pytest.raises(ValueError, match="repeated"):
+            solve(system)
+
 
 class TestDisequalitySampler:
     """An integer count k >= 1 with k <= upper and the hyperplane k = avoid

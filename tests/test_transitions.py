@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echkit import linear, transitions
+from echkit import feasibility, linear, transitions
 from echkit.feasibility import solve
-from echkit.linear import lin
+from echkit.linear import lin, scale_expr, sub_expr
 from echkit.transitions import (
     ALLOWED_PAIRS,
     EXCLUDED_PAIRS,
@@ -37,7 +37,9 @@ EXPECTED_ALLOWED = {
 # symbols, then its relations, inequalities and disequalities in order, each
 # coefficient dict in its key order: key order steers elimination, so a
 # rewrite that keeps the verdicts but reorders a system still shows here.
-SCENARIO_DIGEST = "465b5a25808fab862450069b2503c7ceaf10fab2231ca07517c7328a4435444b"
+# Relation labels are covered too; a chain system's branch relations carry
+# the members of the two views they relate ("p1/p2 eta-common").
+SCENARIO_DIGEST = "07d0271fd2055dc744ad7a9a3388cb2dc58e9388cd2e91e02957a28790883fa9"
 DIGEST_CHAINS = (("b", "a", "b'"), ("a", "b'", "a"))
 
 
@@ -202,9 +204,10 @@ class TestScenarioSystems:
 
     def test_pair_report_work_counts(self, monkeypatch):
         """Deterministic work of the pair table: one solve per scenario run
-        until a pair turns feasible, and each shared relation prefix is
-        eliminated once per pair (21,538 adds when every system was
-        eliminated alone)."""
+        until a pair turns feasible, each shared relation prefix eliminated
+        once per pair (21,538 adds when every system was eliminated alone),
+        and one certificate per excluded pair, built when the table reads
+        it (2,638 when every infeasible scenario built its own)."""
         counts = Counter()
 
         def counted(name, fn):
@@ -216,8 +219,44 @@ class TestScenarioSystems:
         monkeypatch.setattr(linear.Eliminator, "add",
                             counted("add", linear.Eliminator.add))
         monkeypatch.setattr(transitions, "solve", counted("solve", transitions.solve))
-        pair_report()
+        monkeypatch.setattr(feasibility, "Certificate",
+                            counted("certificate", feasibility.Certificate))
+        report = pair_report()
         assert counts == {"solve": 2650, "add": 2494}
+        for v in report.verdicts.values():
+            if not v.feasible:
+                assert v.certificate is v.certificate
+        assert counts == {"solve": 2650, "add": 2494, "certificate": 24}
+
+    @pytest.mark.parametrize("triple", DIGEST_CHAINS)
+    def test_chain_certificates_replay(self, triple):
+        """Every Infeasible certificate of a chain's joint systems replays by
+        label: its combination of the system's relations gives its equation,
+        and its eps bound is the matching sum of multiples.  The systems
+        combine branches of several view pairs, whose relations would merge
+        in the combination if they shared a label."""
+        prefixes: dict = {}
+        replayed = 0
+        for system in _joint_chain_scenarios(*triple):
+            v = solve(system, prefixes)
+            if v.feasible:
+                continue
+            cert = v.certificate
+            if not cert.combo:  # decided by Fourier-Motzkin, no combination
+                assert cert.rule in ("incompatible_inequalities",
+                                     "forced_disequality")
+                continue
+            by_label = {r.label: r for r in system.relations}
+            total: dict = {}
+            for label, c in cert.combo.items():
+                total = sub_expr(total, scale_expr(by_label[label].coeffs, -c))
+            assert total == cert.equation, system.label
+            if cert.rule != "contradictory_equations":  # it carries no bound
+                assert cert.eps_bound == sum(
+                    (abs(c) * by_label[l].eps_multiple
+                     for l, c in cert.combo.items()), Fraction(0)), system.label
+            replayed += 1
+        assert replayed > 0
 
 
 class TestChains:
