@@ -330,9 +330,9 @@ def solve(system: RelationSystem, prefixes: dict | None = None) -> Verdict:
     first of them in `_RULE_PRIORITY` order (ties go to the earlier check).
     Zero checks are decided on the eliminator's integer rows; a check that
     could not beat the rule already found is skipped.  The certificate, with
-    its combination and eps bound, is built from the eliminator and the
-    relations when the verdict's `certificate` is first read, so the system's
-    relations must not be mutated before then.
+    its combination and eps bound, is built when the verdict's `certificate`
+    is first read, from the eliminator and the relations as they were when
+    the system was solved.
 
     Systems solved with one `prefixes` dict share the elimination of their
     common relation prefixes (see `_eliminate`); their relations must not be
