@@ -20,8 +20,14 @@ the "cross_set" disequalities that transitions._pair_rules builds.
 An Infeasible verdict carries a certificate: the forced equation, the exact
 combination of input relations that produces it (so it can be replayed), and
 the accumulated tolerance multiple, from which an explicit eps threshold can
-be recovered.  A Feasible verdict expresses every symbol over the free ones
-and lists integrality notes such as "3P/2 integral".
+be recovered.  The certificate is built when it is first read.  A Feasible
+verdict expresses every symbol over the free ones and lists integrality
+notes such as "3P/2 integral".
+
+Elimination runs on the integer rows of linear.Eliminator (numerators over
+one positive denominator per row), and the zero checks behind the rules are
+decided on those rows.  Fractions are formed for certificates, for the
+inputs to the Fourier-Motzkin step and for a Feasible verdict's solution.
 """
 
 from __future__ import annotations
