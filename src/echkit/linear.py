@@ -138,32 +138,27 @@ class Row:
     def minus(self, other: "Row", c) -> "Row":
         """self - c*other."""
         c = Fraction(c)
-        # over the denominator den*a, self is num*a and c*other is b*other.num
-        a, b = other.den * c.denominator, c.numerator * self.den
-        num = {k: v * a for k, v in self.num.items()}
-        combo = {k: v * a for k, v in self.combo_num.items()}
-        if b:
-            _sub_scaled(num, other.num, b)
-            _sub_scaled(combo, other.combo_num, b)
+        a = other.den * c.denominator
+        num, combo = dict(self.num), dict(self.combo_num)
+        _combine(num, combo, a, other, c.numerator * self.den)
         return Row._normalised(num, combo, self.den * a)
 
 
-def _cancel(num: dict, combo: dict | None, sym: str, prow: Row) -> int:
-    """Remove sym from the row num/den, in place, by subtracting the multiple
-    num[sym]/den of the pivot row prow (coefficient 1 on sym); returns the
-    factor by which den must be multiplied.  combo, when given, is the row's
-    combination numerators and is updated alike."""
-    c, d = num[sym], prow.den
-    if d != 1:
+def _combine(num: dict, combo: dict | None, a: int, other: Row, b: int) -> None:
+    """num := a*num - b*other.num in place, and combo alike when given.
+
+    Over the denominator den*a this subtracts b*other.den/(den*a) times the
+    row other from the row num/den.  Keys keep their order; a cancelled key
+    is dropped and a new one appended."""
+    if a != 1:
         for k in num:
-            num[k] *= d
+            num[k] *= a
         if combo is not None:
             for k in combo:
-                combo[k] *= d
-    _sub_scaled(num, prow.num, c)
+                combo[k] *= a
+    _sub_scaled(num, other.num, b)
     if combo is not None:
-        _sub_scaled(combo, prow.combo_num, c)
-    return d
+        _sub_scaled(combo, other.combo_num, b)
 
 
 class Eliminator:
@@ -190,7 +185,9 @@ class Eliminator:
     def _reduce(self, num: dict, combo: dict | None, den: int) -> Row:
         """The row num/den reduced, consuming the dicts num and combo."""
         for sym in [s for s in num if s in self.pivots]:
-            den *= _cancel(num, combo, sym, self.pivots[sym])
+            prow = self.pivots[sym]  # coefficient 1 on sym
+            _combine(num, combo, prow.den, prow, num[sym])
+            den *= prow.den
         return Row._normalised(num, {} if combo is None else combo, den)
 
     def reduce_row(self, row: Row) -> Row:
@@ -228,8 +225,8 @@ class Eliminator:
         for p, prow in list(self.pivots.items()):
             if pivot in prow.num:
                 num, combo = dict(prow.num), dict(prow.combo_num)
-                d = _cancel(num, combo, pivot, row)
-                self.pivots[p] = Row._normalised(num, combo, prow.den * d)
+                _combine(num, combo, row.den, row, num[pivot])
+                self.pivots[p] = Row._normalised(num, combo, prow.den * row.den)
         self.pivots[pivot] = row
 
     def solution_expr(self, sym: str) -> LinExpr:
