@@ -15,6 +15,7 @@ from .exactreal import ExactReal, ceil_mul, cmp_ceil_fractions, floor_mul, parse
 from .partitions import (
     Partition,
     SSet,
+    in_s_theta,
     is_initial_segment,
     partition_in,
     partition_orbit,

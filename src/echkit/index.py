@@ -19,13 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactreal import ExactReal, floor_mul, parse_real
+from .exactreal import ExactReal, ceil_mul, floor_mul, parse_real
 from .partitions import (
     ELLIPTIC,
     NEGATIVE_HYPERBOLIC,
     ORBIT_KINDS,
     POSITIVE_HYPERBOLIC,
-    s_theta,
+    in_s_theta,
 )
 
 
@@ -250,14 +250,18 @@ def floor_step(theta: ExactReal, p_i: int, p_next: int, n: int) -> int:
     p_i <= n <= p_next.  The value is 0 on [p_i, p_next) and 1 at p_next:
     this is the step that keeps the grading constant across a window and
     makes it jump by 2 at the next best-approximation denominator.
+
+    Both memberships and the Farey determinant c p_next - c' p_i = 1 of
+    their ceilings are checked with `in_s_theta`, in O(log p_next) integer
+    steps and without enumerating S(-theta).
     """
-    ss = s_theta(-theta, p_next)
-    members = ss.members
-    try:
-        i = members.index(p_i)
-    except ValueError:
-        raise ValueError(f"{p_i} is not a member of the opposite set") from None
-    if i + 1 >= len(members) or members[i + 1] != p_next:
+    opposite = -theta
+    if not (in_s_theta(opposite, p_i) and p_i <= p_next):
+        raise ValueError(f"{p_i} is not a member of the opposite set")
+    if not (
+        in_s_theta(opposite, p_next)
+        and ceil_mul(p_i, opposite) * p_next - ceil_mul(p_next, opposite) * p_i == 1
+    ):
         raise ValueError(f"{p_i}, {p_next} are not consecutive members")
     if not p_i <= n <= p_next:
         raise ValueError("n out of range")

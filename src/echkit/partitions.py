@@ -6,14 +6,27 @@ partition of a multiplicity M strips off the largest member of
 S(theta) at or below the remainder until nothing is left; the outgoing
 partition is the incoming partition for -theta.  Hyperbolic orbits use the
 fixed patterns (1,...,1) and (2,...,2[,1]).
+
+Membership of one q is decided without the scan by Farey neighbours.  Let
+c = ceil(q theta), so c/q > theta.  q is in S(theta) iff no fraction with a
+denominator below q lies in (theta, c/q].  If gcd(c, q) = g > 1 then
+(c/g)/(q/g) is such a fraction.  Otherwise c/q has a left Farey neighbour
+a/b with c b - a q = 1 and b < q, namely b = c^-1 mod q; no fraction with a
+denominator below q lies strictly between a/b and c/q, so q is a member iff
+a/b < theta.  Two members p < p' with ceilings c, c' are consecutive iff
+c p' - c' p = 1: a member between them would give a fraction strictly
+between c'/p' and c/p with a denominator below p', and Farey neighbours
+admit none below p + p'; conversely consecutive best upper approximations
+are Farey neighbours (Khinchin, *Continued Fractions*, section 6).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import gcd
 
-from .exactreal import ExactReal, ceil_mul
+from .exactreal import ExactReal, ceil_mul, floor_mul
 
 ELLIPTIC = "elliptic"
 POSITIVE_HYPERBOLIC = "positive_hyperbolic"
@@ -73,6 +86,23 @@ def s_theta(theta: ExactReal, qmax: int) -> SSet:
             members.append(q)
             best_num, best_den = cq, q
     return SSet(theta, qmax, tuple(members))
+
+
+def in_s_theta(theta: ExactReal, q: int) -> bool:
+    """q ∈ S(theta) for irrational theta, decided in O(log q) without a scan.
+
+    The left Farey neighbour a/b of c/q = ceil(q theta)/q must lie below
+    theta (see the module docstring); 1 is always a member.
+    """
+    if not theta.is_irrational:
+        raise ValueError("elliptic rotation number must be irrational")
+    if q <= 1:
+        return q == 1
+    c = ceil_mul(q, theta)
+    if gcd(c, q) != 1:
+        return False
+    b = pow(c, -1, q)
+    return (c * b - 1) // q <= floor_mul(b, theta)
 
 
 @dataclass(frozen=True)

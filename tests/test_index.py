@@ -226,13 +226,40 @@ class TestFloorStep:
     def test_one_at_window_end(self):
         assert floor_step(THETA, 5, 17, 17) == 1
 
+    # S(-THETA) begins 1, 3, 5, 17; each error path has its exact message
+    def test_rejects_rational(self):
+        with pytest.raises(ValueError) as err:
+            floor_step(ExactReal(1, 0, 2), 1, 2, 1)
+        assert str(err.value) == "elliptic rotation number must be irrational"
+
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError) as err:
+            floor_step(THETA, 0, 1, 0)
+        assert str(err.value) == "0 is not a member of the opposite set"
+
+    @pytest.mark.parametrize("p_i, p_next", [(4, 5), (17, 5)])
+    def test_rejects_non_member(self, p_i, p_next):
+        # a member above p_next is not in S(-theta) up to p_next either
+        with pytest.raises(ValueError) as err:
+            floor_step(THETA, p_i, p_next, p_i)
+        assert str(err.value) == f"{p_i} is not a member of the opposite set"
+
     def test_rejects_non_consecutive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             floor_step(THETA, 3, 17, 5)  # 5 sits between them
+        assert str(err.value) == "3, 17 are not consecutive members"
+
+    @pytest.mark.parametrize("p_next", [16, 5])
+    def test_rejects_non_member_or_equal_p_next(self, p_next):
+        with pytest.raises(ValueError) as err:
+            floor_step(THETA, 5, p_next, 5)
+        assert str(err.value) == f"5, {p_next} are not consecutive members"
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            floor_step(THETA, 5, 17, 18)
+        for n in (18, 4):
+            with pytest.raises(ValueError) as err:
+                floor_step(THETA, 5, 17, n)
+            assert str(err.value) == "n out of range"
 
     def test_window_law_randomized(self):
         rng = random.Random(17)

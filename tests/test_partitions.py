@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echkit.exactreal import ExactReal, parse_real
+from echkit.index import floor_step
 from echkit.partitions import (
     Partition,
+    in_s_theta,
     is_initial_segment,
     partition_in,
     partition_orbit,
@@ -52,6 +54,49 @@ class TestSTheta:
         assert ss.gaps() == (1, 5, 5)
         assert ss.largest_gap == 5
         assert s_theta(THETA, 1).largest_gap is None
+
+
+@st.composite
+def surds(draw):
+    """A quadratic surd in (0, 1), above it, or negative."""
+    x = ExactReal(
+        draw(st.integers(-30, 30)),
+        draw(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])),
+        draw(st.integers(1, 12)),
+        draw(st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13])),
+    )
+    return x - ExactReal(x.floor()) + ExactReal(draw(st.integers(-3, 2)))
+
+
+class TestFareyCriterion:
+    """`in_s_theta` and `floor_step`'s window check against the literal scan."""
+
+    QMAX = 150
+
+    @settings(max_examples=60, deadline=None)
+    @given(surds())
+    def test_membership_matches_bruteforce(self, theta):
+        members = set(s_theta_bruteforce(theta, self.QMAX))
+        for q in range(0, self.QMAX + 1):
+            assert in_s_theta(theta, q) == (q in members), q
+
+    @settings(max_examples=60, deadline=None)
+    @given(surds())
+    def test_floor_step_windows_match_bruteforce(self, theta):
+        # floor_step's windows are those of the opposite set S(-theta)
+        opp = s_theta_bruteforce(-theta, self.QMAX)
+        for p_i, p_next in zip(opp, opp[1:]):
+            assert floor_step(theta, p_i, p_next, p_i) == 0
+            assert floor_step(theta, p_i, p_next, p_next) == 1
+        others = sorted(set(range(1, self.QMAX)) - set(opp))
+        for i, p_i in enumerate(opp):
+            for p_j in opp[i + 2:] + [p for p in others if p > p_i]:
+                with pytest.raises(ValueError, match="are not consecutive members"):
+                    floor_step(theta, p_i, p_j, p_i)
+        for p in others:
+            p_next = next((m for m in opp if m > p), self.QMAX)
+            with pytest.raises(ValueError, match="is not a member of the opposite set"):
+                floor_step(theta, p, p_next, p)
 
 
 class TestStructuralLaws:
