@@ -251,11 +251,13 @@ def floor_step(theta: ExactReal, p_i: int, p_next: int, n: int) -> int:
     this is the step that keeps the grading constant across a window and
     makes it jump by 2 at the next best-approximation denominator.
 
-    Both memberships and the Farey determinant c p_next - c' p_i = 1 of
-    their ceilings are checked with `in_s_theta`, in O(log p_next) integer
-    steps and without enumerating S(-theta).
+    `in_s_theta` checks both memberships, and the Farey determinant
+    c p_next - c' p_i = 1 of their ceilings c, c' checks that no member lies
+    between them (see `partitions`).  The check costs O(log p_next) integer
+    steps and enumerates no part of S(-theta).
     """
     opposite = -theta
+    # p_i must lie in S(-theta) up to p_next, so a member above it is refused
     if not (in_s_theta(opposite, p_i) and p_i <= p_next):
         raise ValueError(f"{p_i} is not a member of the opposite set")
     if not (

@@ -232,28 +232,19 @@ class TestFloorStep:
             floor_step(ExactReal(1, 0, 2), 1, 2, 1)
         assert str(err.value) == "elliptic rotation number must be irrational"
 
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError) as err:
-            floor_step(THETA, 0, 1, 0)
-        assert str(err.value) == "0 is not a member of the opposite set"
-
-    @pytest.mark.parametrize("p_i, p_next", [(4, 5), (17, 5)])
+    # a member above p_next is not in S(-theta) up to p_next either
+    @pytest.mark.parametrize("p_i, p_next", [(0, 1), (4, 5), (17, 5)])
     def test_rejects_non_member(self, p_i, p_next):
-        # a member above p_next is not in S(-theta) up to p_next either
         with pytest.raises(ValueError) as err:
             floor_step(THETA, p_i, p_next, p_i)
         assert str(err.value) == f"{p_i} is not a member of the opposite set"
 
     def test_rejects_non_consecutive(self):
-        with pytest.raises(ValueError) as err:
-            floor_step(THETA, 3, 17, 5)  # 5 sits between them
-        assert str(err.value) == "3, 17 are not consecutive members"
-
-    @pytest.mark.parametrize("p_next", [16, 5])
-    def test_rejects_non_member_or_equal_p_next(self, p_next):
-        with pytest.raises(ValueError) as err:
-            floor_step(THETA, 5, p_next, 5)
-        assert str(err.value) == f"5, {p_next} are not consecutive members"
+        # 5 sits between 3 and 17; 16 is no member; a member does not follow itself
+        for p_i, p_next in ((3, 17), (5, 16), (5, 5)):
+            with pytest.raises(ValueError) as err:
+                floor_step(THETA, p_i, p_next, p_i)
+            assert str(err.value) == f"{p_i}, {p_next} are not consecutive members"
 
     def test_rejects_out_of_range(self):
         for n in (18, 4):

@@ -88,7 +88,7 @@ class TestFareyCriterion:
         for p_i, p_next in zip(opp, opp[1:]):
             assert floor_step(theta, p_i, p_next, p_i) == 0
             assert floor_step(theta, p_i, p_next, p_next) == 1
-        others = sorted(set(range(1, self.QMAX)) - set(opp))
+        others = sorted(set(range(1, self.QMAX + 1)) - set(opp))
         for i, p_i in enumerate(opp):
             for p_j in opp[i + 2:] + [p for p in others if p > p_i]:
                 with pytest.raises(ValueError, match="are not consecutive members"):
