@@ -25,9 +25,10 @@ verdict expresses every symbol over the free ones and lists integrality
 notes such as "3P/2 integral".
 
 Elimination runs on the integer rows of linear.Eliminator (numerators over
-one positive denominator per row), and the zero checks behind the rules are
-decided on those rows.  Fractions are formed for certificates, for the
-inputs to the Fourier-Motzkin step and for a Feasible verdict's solution.
+one positive denominator per row).  The zero checks behind the rules are
+decided on those rows, and the Fourier-Motzkin step reads their numerators,
+a positive multiple of each reduced inequality.  Fractions are formed only
+for certificates, for a Feasible verdict's solution and in its sample.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .linear import (
     expr_str,
     fm_solve,
     lin,
-    scale_expr,
     sub_expr,
 )
 
@@ -257,9 +257,9 @@ def _member_facts(system: RelationSystem, elim: Eliminator) -> list[Inequality]:
     for name, s in system.symbols.items():
         if s.kind == MEMBER:
             low = {name: 1, CONST: -1} if s.greater_than_one else {name: 1}
-            facts.append(Inequality(elim.reduce_expr(low), strict=True))
+            facts.append(Inequality(elim.reduce(low).num, strict=True))
         elif s.kind == SUCCESSOR:
-            facts.append(Inequality(elim.reduce_expr({name: 1, s.base: -1}),
+            facts.append(Inequality(elim.reduce({name: 1, s.base: -1}).num,
                                     strict=True))
     return [f for f in facts if f.coeffs]
 
@@ -273,7 +273,7 @@ def _forced_nonpositive(system, facts: Callable[[], list[Inequality]],
     kinds = {system.symbols[s].kind for s in reduced.num if s != CONST}
     if kinds & {ACTION, COUNT}:
         return False  # a free action/count leaves the sign undetermined
-    ineqs = facts() + [Inequality(reduced.expr, strict=True)]
+    ineqs = facts() + [Inequality(reduced.num, strict=True)]
     variables = sorted({s for iq in ineqs for s in iq.coeffs if s != CONST})
     return not fm_solve(ineqs, variables).feasible
 
@@ -317,16 +317,21 @@ _SIGN_RULES = {
 }
 
 
+def _eps_bound(combo: dict, relations: tuple[Relation, ...]) -> Fraction:
+    """Sum of |c| * k over the combination: the derived equation holds up to
+    that multiple of eps."""
+    eps_of = {r.label: r.eps_multiple for r in relations}
+    return sum((abs(c) * eps_of[l] for l, c in combo.items()), Fraction(0))
+
+
 def _certificate(rule: str, expr: LinExpr, human: str, elim: Eliminator,
                  relations: tuple[Relation, ...]) -> Certificate:
     """The certificate of a side-constraint rule fired on expr: the part of
     expr that the relations force, with its combination and eps bound."""
     row = elim.reduce_row(Row(expr))
-    eps_of = {r.label: r.eps_multiple for r in relations}
     combo = {k: Fraction(-v, row.den) for k, v in row.combo_num.items()}
-    eps = sum((abs(c) * eps_of[l] for l, c in combo.items()), Fraction(0))
     equation = sub_expr({k: Fraction(v) for k, v in expr.items()}, row.expr)
-    return Certificate(rule, equation, combo, eps, human)
+    return Certificate(rule, equation, combo, _eps_bound(combo, relations), human)
 
 
 def solve(system: RelationSystem, prefixes: dict | None = None) -> Verdict:
@@ -350,8 +355,10 @@ def solve(system: RelationSystem, prefixes: dict | None = None) -> Verdict:
 
     if elim.inconsistent is not None:
         row = elim.inconsistent
+        relations = tuple(system.relations)
         return Infeasible("contradictory_equations", lambda: Certificate(
-            "contradictory_equations", row.expr, row.combo, None,
+            "contradictory_equations", row.expr, row.combo,
+            _eps_bound(row.combo, relations),
             f"relations force {expr_str(row.expr)} = 0"))
 
     diseqs = _auto_disequalities(system)
@@ -399,19 +406,20 @@ def solve(system: RelationSystem, prefixes: dict | None = None) -> Verdict:
         return Infeasible(rule, lambda: _certificate(rule, expr, human, elim,
                                                      relations))
 
-    ineqs = [Inequality(elim.reduce_expr(iq.coeffs), iq.strict, iq.label)
+    ineqs = [Inequality(elim.reduce(iq.coeffs).num, iq.strict, iq.label)
              for iq in _auto_inequalities(system)]
     variables = [s for s in order if s not in elim.pivots]
     res = fm_solve(ineqs, variables)
     if not res.feasible:
         c = res.contradiction
         human = "side constraints admit no solution"
-        if c is not None and c.label:
+        if c.label:
             human += f" (from {c.label})"
         return Infeasible("incompatible_inequalities", lambda: Certificate(
-            "incompatible_inequalities", c.coeffs if c else {}, {}, None, human))
+            "incompatible_inequalities",
+            {k: Fraction(v) for k, v in c.coeffs.items()}, {}, None, human))
 
-    reduced_ds = [(d, elim.reduce_expr(d.coeffs)) for d in diseqs]
+    reduced_ds = [(d, elim.reduce(d.coeffs).num) for d in diseqs]
     sample = res.sample
     if any(e and _eval(e, sample) == 0 for _, e in reduced_ds):
         sample = _avoid_disequalities(
@@ -447,8 +455,8 @@ def _avoid_disequalities(ineqs, variables, dis_exprs):
     sample = res.sample
     for e in dis_exprs:
         if _eval(e, sample) == 0:
-            for sign in (1, -1):
-                branched = ineqs + [Inequality(scale_expr(e, sign), strict=True)]
+            for side in (e, {k: -v for k, v in e.items()}):
+                branched = ineqs + [Inequality(side, strict=True)]
                 out = _avoid_disequalities(branched, variables, dis_exprs)
                 if out is not None:
                     return out

@@ -251,19 +251,26 @@ def floor_step(theta: ExactReal, p_i: int, p_next: int, n: int) -> int:
     this is the step that keeps the grading constant across a window and
     makes it jump by 2 at the next best-approximation denominator.
 
-    `in_s_theta` checks both memberships, and the Farey determinant
-    c p_next - c' p_i = 1 of their ceilings c, c' checks that no member lies
-    between them (see `partitions`).  The check costs O(log p_next) integer
-    steps and enumerates no part of S(-theta).
+    `in_s_theta` checks that p_next is a member, and the Farey determinant
+    c p_next - c' p_i = 1 of the ceilings c, c' checks that no member lies
+    between them (see `partitions`).  Together with 1 <= p_i < p_next they
+    make p_i a member as well: a fraction in (-theta, c/p_i] with a
+    denominator below p_i would, as p_next is a member, lie in
+    (c'/p_next, c/p_i], between two Farey neighbours in lowest terms, and
+    so have a denominator of at least p_i + p_next.  p_i's own membership
+    is therefore tested only to choose the error message.
+    The check costs O(log p_next) integer steps and enumerates no part of
+    S(-theta).
     """
     opposite = -theta
-    # p_i must lie in S(-theta) up to p_next, so a member above it is refused
-    if not (in_s_theta(opposite, p_i) and p_i <= p_next):
-        raise ValueError(f"{p_i} is not a member of the opposite set")
     if not (
-        in_s_theta(opposite, p_next)
+        1 <= p_i <= p_next
+        and in_s_theta(opposite, p_next)
         and ceil_mul(p_i, opposite) * p_next - ceil_mul(p_next, opposite) * p_i == 1
     ):
+        # p_i must lie in S(-theta) up to p_next, so a member above it is refused
+        if not (in_s_theta(opposite, p_i) and p_i <= p_next):
+            raise ValueError(f"{p_i} is not a member of the opposite set")
         raise ValueError(f"{p_i}, {p_next} are not consecutive members")
     if not p_i <= n <= p_next:
         raise ValueError("n out of range")

@@ -17,10 +17,16 @@ Rows are fraction-free: a `Row` stores integer numerators for its expression
 and its combination over one positive denominator, divided by their gcd once
 per row built, and elimination runs in integer arithmetic.  Fractions are
 formed only where a value leaves the eliminator: `Row.expr`/`Row.combo`
-(certificates), `reduce_expr` (inputs to `fm_solve`) and `solution_expr`.
-The values are the rationals the same operations give over `Fraction`, and
-a row's keys are added and dropped in the same order, which matters because
-key order steers pivot choice.  `fm_solve` works on Fractions.
+(certificates) and `solution_expr`.  The values are the rationals the same
+operations give over `Fraction`, and a row's keys are added and dropped in
+the same order, which matters because key order steers pivot choice.
+
+`fm_solve` is fraction-free too.  An inequality keeps its meaning under any
+positive scaling, so each input is scaled once to a primitive integer vector
+(coprime integers), rows are combined in integers and divided by their gcd,
+and two rows equal up to a positive factor are the same vector.  A caller
+may therefore pass `Eliminator.reduce(e).num`, a positive multiple of the
+reduced e.  Fractions appear only in the sample point.
 
 `Eliminator.copy` is shallow: the copy has its own pivot dict but shares the
 `Row` objects, the symbol order and any inconsistent row with the original.
@@ -43,12 +49,6 @@ LinExpr = dict  # symbol -> rational (Fraction or int)
 def lin(pairs: dict) -> LinExpr:
     """The expression with the coefficients of pairs, zero terms dropped."""
     return {k: Fraction(v) for k, v in pairs.items() if v}
-
-
-def add_expr(a: LinExpr, b: LinExpr) -> LinExpr:
-    out = dict(a)
-    _sub_scaled(out, b, -1)
-    return out
 
 
 def scale_expr(a: LinExpr, c) -> LinExpr:
@@ -135,14 +135,6 @@ class Row:
     def combo(self) -> dict:
         return {k: Fraction(v, self.den) for k, v in self.combo_num.items()}
 
-    def minus(self, other: "Row", c) -> "Row":
-        """self - c*other."""
-        c = Fraction(c)
-        a = other.den * c.denominator
-        num, combo = dict(self.num), dict(self.combo_num)
-        _combine(num, combo, a, other, c.numerator * self.den)
-        return Row._normalised(num, combo, self.den * a)
-
 
 def _combine(num: dict, combo: dict | None, a: int, other: Row, b: int) -> None:
     """num := a*num - b*other.num in place, and combo alike when given.
@@ -200,10 +192,6 @@ class Eliminator:
         row = Row(e)
         return self._reduce(row.num, None, row.den)
 
-    def reduce_expr(self, e: LinExpr) -> LinExpr:
-        """reduce_row(Row(e, {})).expr, without tracking a combination."""
-        return self.reduce(e).expr
-
     def add(self, expr: LinExpr, label: str):
         row = self.reduce_row(Row(expr, {label: 1}))
         num, combo = row.num, row.combo_num
@@ -247,14 +235,6 @@ class Inequality:
     label: str = ""
 
 
-def _ineq_key(iq: Inequality):
-    """Identifies inequalities equal up to a positive factor."""
-    if not iq.coeffs:
-        return (iq.strict,)
-    norm = max(abs(v) for v in iq.coeffs.values())
-    return (iq.strict, tuple(sorted((k, v / norm) for k, v in iq.coeffs.items())))
-
-
 def _eval(e: LinExpr, sample: dict) -> Fraction:
     total = Fraction(0)
     for k, v in e.items():
@@ -270,81 +250,74 @@ class FMResult:
         self.contradiction = contradiction
 
 
+def _bound(num: dict, var: str, sample: dict) -> Fraction:
+    """The value of var at which the row num vanishes, given the sample."""
+    return -_eval({k: v for k, v in num.items() if k != var}, sample) / num[var]
+
+
+def _keep(rows: list, seen: set, num: dict, strict: bool, label: str) -> None:
+    """Append the row num, divided in place by the gcd of its integers,
+    unless a row equal to it up to a positive factor is already seen."""
+    g = gcd(*num.values())
+    if g > 1:
+        for k in num:
+            num[k] //= g
+    key = (strict, frozenset(num.items()))
+    if key not in seen:
+        seen.add(key)
+        rows.append((num, strict, label))
+
+
 def fm_solve(ineqs: list[Inequality], variables: list[str]) -> FMResult:
     """Decide a conjunction of rational linear inequalities exactly.
 
-    On success returns a rational sample point for `variables`.
+    On success returns a rational sample point for `variables`.  On failure
+    the contradiction is a constant row, with coprime integer coefficients,
+    that a positive combination of the inputs gives and that violates its
+    sign.
     """
     allowed = set(variables) | {CONST}
+    rows: list = []  # (primitive integer coefficients, strict, label)
+    seen: set = set()
     for iq in ineqs:
         extra = set(iq.coeffs) - allowed
         if extra:
             raise ValueError(f"inequality mentions uneliminated symbols {extra}")
-    rows = []
-    seen = set()
-    for iq in ineqs:
-        k = _ineq_key(iq)
-        if k not in seen:
-            seen.add(k)
-            rows.append(iq)
+        den = lcm(*(v.denominator for v in iq.coeffs.values()))
+        num = {k: v.numerator * (den // v.denominator) for k, v in iq.coeffs.items()}
+        _keep(rows, seen, num, iq.strict, iq.label)
     stack = []  # (var, lowers, uppers) for back-substitution
-    current = rows
     for var in variables:
         lowers, uppers, rest = [], [], []
-        for iq in current:
-            c = iq.coeffs.get(var)
-            if not c:
-                rest.append(iq)
-            elif c > 0:
-                lowers.append(iq)
-            else:
-                uppers.append(iq)
+        for row in rows:
+            c = row[0].get(var)
+            (rest if not c else lowers if c > 0 else uppers).append(row)
         stack.append((var, lowers, uppers))
-        new_rows = rest
-        seen = {_ineq_key(iq) for iq in new_rows}
-        for lo in lowers:
-            for up in uppers:
-                cl = lo.coeffs[var]
-                cu = -up.coeffs[var]
-                combined = add_expr(
-                    scale_expr({k: v for k, v in lo.coeffs.items() if k != var}, cu),
-                    scale_expr({k: v for k, v in up.coeffs.items() if k != var}, cl),
-                )
-                iq = Inequality(combined, lo.strict or up.strict,
-                                f"{lo.label}&{up.label}")
-                k = _ineq_key(iq)
-                if k not in seen:
-                    seen.add(k)
-                    new_rows.append(iq)
-        current = new_rows
+        # a combined row lacks var, so no lower or upper row is its duplicate
+        # and `seen` can keep their keys
+        rows = rest
+        for lo, lo_strict, lo_label in lowers:
+            for up, up_strict, up_label in uppers:
+                num = {k: v * -up[var] for k, v in lo.items()}
+                _sub_scaled(num, up, -lo[var])  # var cancels and is dropped
+                _keep(rows, seen, num, lo_strict or up_strict,
+                      f"{lo_label}&{up_label}")
     # everything left is constant
-    for iq in current:
-        val = iq.coeffs.get(CONST, Fraction(0))
-        if val < 0 or (iq.strict and val == 0):
-            return FMResult(False, contradiction=iq)
+    for num, strict, label in rows:
+        val = num.get(CONST, 0)
+        if val < 0 or (strict and val == 0):
+            return FMResult(False, contradiction=Inequality(num, strict, label))
     # back-substitute a sample
     sample: dict = {}
     for var, lowers, uppers in reversed(stack):
-        lo_val = lo_strict = None
-        for iq in lowers:
-            rest = {k: v for k, v in iq.coeffs.items() if k != var}
-            bound = -_eval(rest, sample) / iq.coeffs[var]
-            if lo_val is None or bound > lo_val or (bound == lo_val and iq.strict):
-                lo_val, lo_strict = bound, iq.strict
-        up_val = up_strict = None
-        for iq in uppers:
-            rest = {k: v for k, v in iq.coeffs.items() if k != var}
-            bound = -_eval(rest, sample) / iq.coeffs[var]
-            if up_val is None or bound < up_val or (bound == up_val and iq.strict):
-                up_val, up_strict = bound, iq.strict
+        lo_val = max((_bound(num, var, sample) for num, _, _ in lowers), default=None)
+        up_val = min((_bound(num, var, sample) for num, _, _ in uppers), default=None)
         if lo_val is None and up_val is None:
             sample[var] = Fraction(0)
         elif up_val is None:
             sample[var] = lo_val + 1
         elif lo_val is None:
             sample[var] = up_val - 1
-        elif lo_val == up_val:
-            sample[var] = lo_val
         else:
             sample[var] = (lo_val + up_val) / 2
     return FMResult(True, sample=sample)

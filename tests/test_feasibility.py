@@ -23,7 +23,7 @@ from echkit.fixtures import (
     run_fixture,
     solve_case,
 )
-from echkit.linear import CONST, add_expr, lin, scale_expr
+from echkit.linear import CONST, lin, scale_expr, sub_expr
 
 
 def a_context():
@@ -251,7 +251,7 @@ class TestCertificates:
                     rels = self._relation_map(system)
                     total: dict = {}
                     for label, mult in cert.combo.items():
-                        total = add_expr(total, scale_expr(rels[label], mult))
+                        total = sub_expr(total, scale_expr(rels[label], -mult))
                     assert total == cert.equation, (name, case, d)
                     assert cert.eps_bound is not None and cert.eps_bound > 0
                     checked += 1
@@ -273,7 +273,7 @@ class TestCertificates:
                     for sym, coeff in rel.coeffs.items():
                         expr = (lin({sym: 1}) if sym == CONST
                                 else v.solution.get(sym, lin({sym: 1})))
-                        residue = add_expr(residue, scale_expr(expr, coeff))
+                        residue = sub_expr(residue, scale_expr(expr, -coeff))
                     assert residue == {}, (name, case, rel.label)
                 checked += 1
         assert checked >= 15

@@ -7,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echkit.feasibility import Infeasible, Relation, RelationSystem, Sym, solve
-from echkit.linear import CONST, Eliminator, Row, scale_expr, sub_expr
+from echkit.linear import (
+    CONST,
+    Eliminator,
+    Inequality,
+    Row,
+    _eval,
+    fm_solve,
+    scale_expr,
+    sub_expr,
+)
 
 SYMS = ["a", "b", "c", "d", "e"]
 LABELS = [f"r{i}" for i in range(6)]
@@ -22,17 +31,32 @@ rows = st.builds(Row, exprs, combos)
 systems = st.lists(exprs, min_size=1, max_size=6)
 
 
-def reduce_by_rescan(elim: Eliminator, row: Row) -> Row:
-    """Reference reduction: restart the scan after every subtraction."""
+def _sub_fraction(target: dict, src: dict, c: Fraction) -> None:
+    """target -= c*src over Fractions; cancelled keys are dropped, new keys
+    appended."""
+    for k, v in src.items():
+        s = target.get(k, Fraction(0)) - v * c
+        if s:
+            target[k] = s
+        else:
+            target.pop(k, None)
+
+
+def reduce_by_rescan(elim: Eliminator, row: Row) -> tuple[dict, dict]:
+    """Reference reduction over Fractions, (expr, combo): restart the scan
+    after every subtraction."""
+    expr, combo = row.expr, row.combo
     changed = True
     while changed:
         changed = False
-        for sym in list(row.expr):
+        for sym in list(expr):
             if sym in elim.pivots:
-                row = row.minus(elim.pivots[sym], row.expr[sym])
+                prow, c = elim.pivots[sym], expr[sym]
+                _sub_fraction(expr, prow.expr, c)
+                _sub_fraction(combo, prow.combo, c)
                 changed = True
                 break
-    return row
+    return expr, combo
 
 
 def eliminate(exs) -> list[Eliminator]:
@@ -61,18 +85,10 @@ def test_pivot_rows_stay_in_rref(exs):
 def test_single_pass_reduction_matches_rescan(exs, row):
     elim = eliminate(exs)[-1]
     got = elim.reduce_row(row)
-    want = reduce_by_rescan(elim, row)
-    assert list(got.expr.items()) == list(want.expr.items())
-    assert list(got.combo.items()) == list(want.combo.items())
+    want_expr, want_combo = reduce_by_rescan(elim, row)
+    assert list(got.expr.items()) == list(want_expr.items())
+    assert list(got.combo.items()) == list(want_combo.items())
     assert not set(got.expr) & set(elim.pivots)
-
-
-@settings(max_examples=200, deadline=None)
-@given(systems, exprs)
-def test_reduce_expr_is_reduce_row_without_combo(exs, e):
-    elim = eliminate(exs)[-1]
-    got = elim.reduce_expr(e)
-    assert list(got.items()) == list(elim.reduce_row(Row(e, {})).expr.items())
 
 
 def state(elim: Eliminator):
@@ -101,16 +117,6 @@ def test_copy_adds_independently(prefix, suffix):
     assert state(fork) == state(whole)
 
 
-@settings(max_examples=200, deadline=None)
-@given(rows, rows, st.one_of(coeff, st.just(Fraction(0))))
-def test_minus_matches_scale_then_subtract(r1, r2, c):
-    got = r1.minus(r2, c)
-    assert list(got.expr.items()) == list(
-        sub_expr(r1.expr, scale_expr(r2.expr, c)).items())
-    assert list(got.combo.items()) == list(
-        sub_expr(r1.combo, scale_expr(r2.combo, c)).items())
-
-
 ENGINE_SYMS = {
     "P": Sym("P", "s_member", integer=True),
     "Pn": Sym("Pn", "s_successor", base="P", integer=True),
@@ -136,24 +142,12 @@ def test_infeasible_certificates_replay(rels):
     for label, c in cert.combo.items():
         total = sub_expr(total, scale_expr(by_label[label].coeffs, -c))
     assert total == cert.equation
-    if cert.eps_bound is not None:
-        assert cert.eps_bound == sum(
-            (abs(c) * by_label[l].eps_multiple for l, c in cert.combo.items()),
-            Fraction(0))
+    assert cert.eps_bound == sum(
+        (abs(c) * by_label[l].eps_multiple for l, c in cert.combo.items()),
+        Fraction(0))
 
 
 # -- integer rows against a plain-Fraction reference ------------------------
-
-
-def _sub_fraction(target: dict, src: dict, c: Fraction) -> None:
-    """target -= c*src over Fractions; cancelled keys are dropped, new keys
-    appended."""
-    for k, v in src.items():
-        s = target.get(k, Fraction(0)) - v * c
-        if s:
-            target[k] = s
-        else:
-            target.pop(k, None)
 
 
 class FractionEliminator:
@@ -232,8 +226,8 @@ labelled = st.lists(st.tuples(big_exprs, st.sampled_from(LABELS)), max_size=6)
 @given(labelled, labelled, big_exprs,
        st.dictionaries(st.sampled_from(LABELS), big_coeff, max_size=3))
 def test_integer_rows_match_fraction_reference(prefix, suffix, expr, combo):
-    """add, copy, reduce_row, reduce_expr, solution_expr and the inconsistent
-    row agree with the Fraction reference: the same values in the same key
+    """add, copy, reduce_row, reduce, solution_expr and the inconsistent row
+    agree with the Fraction reference: the same values in the same key
     order, including merged combinations of a repeated label."""
     elim, ref = Eliminator(SYMS), FractionEliminator(SYMS)
     for e, label in prefix:
@@ -253,8 +247,112 @@ def test_integer_rows_match_fraction_reference(prefix, suffix, expr, combo):
         assert_canonical(reduced)
         want_expr, want_combo = want.reduce_row(expr, combo)
         assert _items(reduced.expr, reduced.combo) == _items(want_expr, want_combo)
-        assert list(got.reduce_expr(expr).items()) == list(want_expr.items())
-        assert bool(got.reduce(expr).num) == bool(want_expr)
+        # reduce(expr).num, a positive multiple of this, feeds fm_solve
+        assert list(got.reduce(expr).expr.items()) == list(want_expr.items())
         for p, (pexpr, _) in want.pivots.items():
             assert list(got.solution_expr(p).items()) == [
                 (k, -v) for k, v in pexpr.items() if k != p]
+
+
+# -- Fourier-Motzkin against the Fraction version it replaced ----------------
+
+
+def _ineq_key(iq: Inequality):
+    """Identifies inequalities equal up to a positive factor."""
+    if not iq.coeffs:
+        return (iq.strict,)
+    norm = max(abs(v) for v in iq.coeffs.values())
+    return (iq.strict, tuple(sorted((k, v / norm) for k, v in iq.coeffs.items())))
+
+
+def fm_solve_fraction(ineqs: list[Inequality], variables: list[str]):
+    """Reference Fourier-Motzkin on Fraction rows, deduplicated by dividing
+    each by its largest coefficient: (feasible, sample, contradiction)."""
+    current, seen = [], set()
+    for iq in ineqs:
+        if _ineq_key(iq) not in seen:
+            seen.add(_ineq_key(iq))
+            current.append(iq)
+    stack = []
+    for var in variables:
+        lowers = [iq for iq in current if iq.coeffs.get(var, 0) > 0]
+        uppers = [iq for iq in current if iq.coeffs.get(var, 0) < 0]
+        stack.append((var, lowers, uppers))
+        current = [iq for iq in current if not iq.coeffs.get(var)]
+        seen = {_ineq_key(iq) for iq in current}
+        for lo in lowers:
+            for up in uppers:
+                combined = {k: v * -up.coeffs[var] for k, v in lo.coeffs.items()}
+                _sub_fraction(combined, up.coeffs, -lo.coeffs[var])
+                iq = Inequality(combined, lo.strict or up.strict,
+                                f"{lo.label}&{up.label}")
+                if _ineq_key(iq) not in seen:
+                    seen.add(_ineq_key(iq))
+                    current.append(iq)
+    for iq in current:
+        val = iq.coeffs.get(CONST, Fraction(0))
+        if val < 0 or (iq.strict and val == 0):
+            return False, None, iq
+    sample: dict = {}
+    for var, lowers, uppers in reversed(stack):
+        def bound(iq):
+            rest = {k: v for k, v in iq.coeffs.items() if k != var}
+            return -_eval(rest, sample) / iq.coeffs[var]
+        lo = max(map(bound, lowers), default=None)
+        up = min(map(bound, uppers), default=None)
+        if lo is None and up is None:
+            sample[var] = Fraction(0)
+        elif up is None:
+            sample[var] = lo + 1
+        elif lo is None:
+            sample[var] = up - 1
+        else:
+            sample[var] = (lo + up) / 2
+    return True, sample, None
+
+
+FM_VARS = ["x", "y", "z", "w"]
+
+
+@st.composite
+def fm_systems(draw):
+    """Up to 4 variables in a random elimination order, and strict and
+    non-strict rows with rational coefficients, some repeated at a positive
+    scale so that duplicates are met."""
+    variables = draw(st.permutations(FM_VARS))[:draw(st.integers(1, 4))]
+    row = st.builds(
+        Inequality,
+        st.dictionaries(st.sampled_from(variables + [CONST]), coeff, max_size=4),
+        st.booleans(), st.sampled_from(LABELS))
+    ineqs = draw(st.lists(row, min_size=1, max_size=7))
+    for i, c in draw(st.lists(st.tuples(st.integers(0, len(ineqs) - 1),
+                                        coeff.filter(lambda c: c > 0)),
+                              max_size=3)):
+        ineqs.append(Inequality(scale_expr(ineqs[i].coeffs, c), ineqs[i].strict,
+                                f"{ineqs[i].label}*{c}"))
+    return ineqs, variables
+
+
+@settings(max_examples=400, deadline=None)
+@given(fm_systems())
+def test_fm_solve_matches_fraction_reference(system):
+    """The integer fm_solve decides as the Fraction reference does, with the
+    same sample, which satisfies every input; its contradiction is a
+    coprime-integer positive multiple of the reference's."""
+    ineqs, variables = system
+    got = fm_solve(ineqs, variables)
+    feasible, sample, contradiction = fm_solve_fraction(ineqs, variables)
+    assert got.feasible == feasible
+    if feasible:
+        assert got.sample == sample
+        for iq in ineqs:
+            value = _eval(iq.coeffs, got.sample)
+            assert value > 0 if iq.strict else value >= 0
+        return
+    c = got.contradiction
+    assert (c.strict, c.label) == (contradiction.strict, contradiction.label)
+    assert all(type(v) is int for v in c.coeffs.values())
+    assert gcd(*c.coeffs.values()) in (0, 1)
+    assert c.coeffs.keys() == contradiction.coeffs.keys()
+    ratios = {v / contradiction.coeffs[k] for k, v in c.coeffs.items()}
+    assert len(ratios) <= 1 and all(r > 0 for r in ratios)

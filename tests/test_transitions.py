@@ -206,8 +206,10 @@ class TestScenarioSystems:
         """Deterministic work of the pair table: one solve per scenario run
         until a pair turns feasible, each shared relation prefix eliminated
         once per pair (21,538 adds when every system was eliminated alone),
-        and one certificate per excluded pair, built when the table reads
-        it (2,638 when every infeasible scenario built its own)."""
+        one certificate per excluded pair, built when the table reads it
+        (2,638 when every infeasible scenario built its own), and one
+        Fourier-Motzkin call per member-order or side-constraint question
+        the elimination leaves open."""
         counts = Counter()
 
         def counted(name, fn):
@@ -221,12 +223,15 @@ class TestScenarioSystems:
         monkeypatch.setattr(transitions, "solve", counted("solve", transitions.solve))
         monkeypatch.setattr(feasibility, "Certificate",
                             counted("certificate", feasibility.Certificate))
+        monkeypatch.setattr(feasibility, "fm_solve",
+                            counted("fm_solve", feasibility.fm_solve))
         report = pair_report()
-        assert counts == {"solve": 2650, "add": 2494}
+        assert counts == {"solve": 2650, "add": 2494, "fm_solve": 369}
         for v in report.verdicts.values():
             if not v.feasible:
                 assert v.certificate is v.certificate
-        assert counts == {"solve": 2650, "add": 2494, "certificate": 24}
+        assert counts == {"solve": 2650, "add": 2494, "fm_solve": 369,
+                          "certificate": 24}
 
     @pytest.mark.parametrize("triple", DIGEST_CHAINS)
     def test_chain_certificates_replay(self, triple):
@@ -251,10 +256,9 @@ class TestScenarioSystems:
             for label, c in cert.combo.items():
                 total = sub_expr(total, scale_expr(by_label[label].coeffs, -c))
             assert total == cert.equation, system.label
-            if cert.rule != "contradictory_equations":  # it carries no bound
-                assert cert.eps_bound == sum(
-                    (abs(c) * by_label[l].eps_multiple
-                     for l, c in cert.combo.items()), Fraction(0)), system.label
+            assert cert.eps_bound == sum(
+                (abs(c) * by_label[l].eps_multiple
+                 for l, c in cert.combo.items()), Fraction(0)), system.label
             replayed += 1
         assert replayed > 0
 
