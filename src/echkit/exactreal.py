@@ -106,9 +106,6 @@ class ExactReal:
             raise ValueError("irrational value has no rational form")
         return Fraction(self.a, self.c)
 
-    def is_integer(self) -> bool:
-        return self.b == 0 and self.c == 1
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> "ExactReal":

@@ -9,13 +9,20 @@ and then checks the side constraints the symbols carry:
 
   * action symbols are strictly positive;
   * an s_member symbol P is a positive integer (> 1 where flagged);
-  * its successor P' satisfies P' > P, and when P > 1 the gap P' - P can
-    never equal P (gaps belong to the opposite approximation set, and the
-    two sets meet only at 1).
+  * its successor P' satisfies P' > P;
+  * the opposite-set law: S(theta) and S(-theta) meet only at 1, and the
+    successor gaps of each set lie in the other.
 
-Sym.set_tag names the approximation set of a member, but solve never reads
-it.  The rule that opposite sets meet only at 1 reaches the engine only as
-the "cross_set" disequalities that transitions._pair_rules builds.
+The law is read off Sym.set_tag and Sym.base.  A successor belongs to its
+base member's set and the gap P' - P to the opposite one, so every two
+quantities in opposite sets differ unless both are 1: a member and its own
+gap (rule "gap_equals_member"), and across two members their bases and
+successors, or their two gaps when the members sit in opposite sets (rule
+"cross_set").  A successor, or a member flagged > 1, exceeds 1 and closes
+the escape, so of these only the gap-gap fact keeps it.  A fact the
+relations force fires only when the side constraints leave no room for its
+escape; otherwise the escape's equations join the Fourier-Motzkin stage, and
+the sampler tries the escape beside the two strict sides of the fact.
 
 An Infeasible verdict carries a certificate: the forced equation, the exact
 combination of input relations that produces it (so it can be replayed), and
@@ -33,6 +40,7 @@ for certificates, for a Feasible verdict's solution and in its sample.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -63,7 +71,7 @@ _KIND_RANK = {ACTION: 0, COUNT: 1, SUCCESSOR: 2, MEMBER: 3}
 class Sym:
     name: str
     kind: str  # ACTION | MEMBER | SUCCESSOR | COUNT
-    set_tag: str | None = None  # "p" / "q": which approximation set a member sits in
+    set_tag: str | None = None  # "p" / "q": a member's approximation set
     base: str | None = None  # for SUCCESSOR: the member it follows
     greater_than_one: bool = True  # members: strictly above 1
     integer: bool = False  # sharpen strict orderings to gaps of one
@@ -237,17 +245,41 @@ def _auto_inequalities(system: RelationSystem) -> list[Inequality]:
     return out
 
 
-def _auto_disequalities(system: RelationSystem) -> list[Disequality]:
-    out = list(system.disequalities)
+def _facts(system: RelationSystem) -> list[tuple]:
+    """The disequalities to check, as (coeffs, rule, escape) in order: the
+    user's, then the opposite-set law per pair of members in symbol order,
+    then each member against its own gap.
+
+    A law fact is x - y != 0 for quantities x, y in opposite sets; its escape
+    is (x - 1, y - 1), both zero, or None when a side exceeds 1."""
+    out = [(d.coeffs, d.rule, None) for d in system.disequalities]
+    succ = {s.base: n for n, s in system.symbols.items() if s.kind == SUCCESSOR}
+    # per member: its set tag, then the member, its successor and its gap as
+    # (integer expression, known to exceed 1), or None without a successor
+    members = []
     for name, s in system.symbols.items():
-        if s.kind == SUCCESSOR and system.symbols[s.base].greater_than_one:
-            out.append(
-                Disequality(
-                    {name: 1, s.base: -2},
-                    rule="gap_equals_member",
-                    label=f"gap({name},{s.base})!={s.base}",
-                )
-            )
+        if s.kind == MEMBER:
+            n = succ.get(name)
+            members.append((s.set_tag, ({name: 1}, s.greater_than_one),
+                            n and ({n: 1}, True), n and ({n: 1, name: -1}, False)))
+
+    def fact(x, y, rule):
+        escape = None if x[1] or y[1] else ({**x[0], CONST: -1}, {**y[0], CONST: -1})
+        out.append((sub_expr(x[0], y[0]), rule, escape))
+
+    for (tag1, b1, n1, g1), (tag2, b2, n2, g2) in itertools.combinations(members, 2):
+        if tag1 is None or tag2 is None:
+            continue
+        if tag1 == tag2:
+            pairs = [(g1, b2), (g1, n2), (g2, b1), (g2, n1)]
+        else:
+            pairs = [(b1, b2), (b1, n2), (n1, b2), (n1, n2), (g1, g2)]
+        for x, y in pairs:
+            if x and y:
+                fact(x, y, "cross_set")
+    for _, b, _, g in members:
+        if g:
+            fact(g, b, "gap_equals_member")
     return out
 
 
@@ -324,14 +356,25 @@ def _eps_bound(combo: dict, relations: tuple[Relation, ...]) -> Fraction:
     return sum((abs(c) * eps_of[l] for l, c in combo.items()), Fraction(0))
 
 
-def _certificate(rule: str, expr: LinExpr, human: str, elim: Eliminator,
-                 relations: tuple[Relation, ...]) -> Certificate:
+def _escape_inequalities(elim: Eliminator, escape: tuple) -> list[Inequality]:
+    """The escape's equations e = 0, reduced, each as e >= 0 and -e >= 0."""
+    out = []
+    for e in escape:
+        num = elim.reduce(e).num
+        out += [Inequality(num), Inequality({k: -v for k, v in num.items()})]
+    return out
+
+
+def _certificate(rule: str, expr: LinExpr, human: Callable[[], str],
+                 elim: Eliminator, relations: tuple[Relation, ...]) -> Certificate:
     """The certificate of a side-constraint rule fired on expr: the part of
-    expr that the relations force, with its combination and eps bound."""
+    expr that the relations force, with its combination and eps bound, and
+    the text that human() builds."""
     row = elim.reduce_row(Row(expr))
     combo = {k: Fraction(-v, row.den) for k, v in row.combo_num.items()}
     equation = sub_expr({k: Fraction(v) for k, v in expr.items()}, row.expr)
-    return Certificate(rule, equation, combo, _eps_bound(combo, relations), human)
+    return Certificate(rule, equation, combo, _eps_bound(combo, relations),
+                       human())
 
 
 def solve(system: RelationSystem, prefixes: dict | None = None) -> Verdict:
@@ -361,36 +404,54 @@ def solve(system: RelationSystem, prefixes: dict | None = None) -> Verdict:
             _eps_bound(row.combo, relations),
             f"relations force {expr_str(row.expr)} = 0"))
 
-    diseqs = _auto_disequalities(system)
-    facts = None  # the member order facts, built on first use
+    variables = [s for s in order if s not in elim.pivots]
+    facts = []  # (coeffs, rule, reduced coeffs, escape inequalities), unforced
+    escapes = []  # the escape inequalities of forced facts, for the FM stage
+    side = None  # the reduced side constraints, built on first use
+    order_facts = None  # the member order facts, built on first use
     best = None  # (rank, rule, expr, human) of the winning rule so far
 
-    def fire(rule: str, expr: LinExpr, human: str):
+    def fire(rule: str, expr: LinExpr, human: Callable[[], str]):
         nonlocal best
         best = (rule_rank(rule), rule, expr, human)
 
     def beats(rule: str) -> bool:
         return best is None or rule_rank(rule) < best[0]
 
+    def side_constraints() -> list[Inequality]:
+        nonlocal side
+        if side is None:
+            side = [Inequality(elim.reduce(iq.coeffs).num, iq.strict, iq.label)
+                    for iq in _auto_inequalities(system)]
+        return side
+
     def member_facts() -> list[Inequality]:
-        nonlocal facts
-        if facts is None:
-            facts = _member_facts(system, elim)
-        return facts
+        nonlocal order_facts
+        if order_facts is None:
+            order_facts = _member_facts(system, elim)
+        return order_facts
 
     def check(expr, zero_rule, zero_human, nonpos_rule, nonpos_name):
         if not beats(zero_rule):  # each zero rule ranks above its nonpositive rule
             return
         reduced = elim.reduce(expr)
         if not reduced.num:
-            fire(zero_rule, expr, zero_human)
+            fire(zero_rule, expr, lambda: zero_human)
         elif beats(nonpos_rule) and _forced_nonpositive(system, member_facts, reduced):
-            fire(nonpos_rule, expr,
-                 f"{nonpos_name} = {expr_str(reduced.expr)} cannot be positive")
+            fire(nonpos_rule, expr, lambda: f"{nonpos_name} = "
+                 f"{expr_str(reduced.expr)} cannot be positive")
 
-    for d in diseqs:
-        if beats(d.rule) and not elim.reduce(d.coeffs).num:
-            fire(d.rule, d.coeffs, f"relations force {expr_str(d.coeffs)} = 0")
+    for coeffs, rule, escape in _facts(system):
+        if not beats(rule):
+            continue
+        num = elim.reduce(coeffs).num
+        ones = escape and _escape_inequalities(elim, escape)
+        if num:
+            facts.append((coeffs, rule, num, ones))
+        elif ones and fm_solve(side_constraints() + ones, variables).feasible:
+            escapes += ones
+        else:
+            fire(rule, coeffs, lambda c=coeffs: f"relations force {expr_str(c)} = 0")
     for name in order:
         s = system.symbols[name]
         zero_rule, nonpos_rule = _SIGN_RULES[s.kind]
@@ -406,9 +467,7 @@ def solve(system: RelationSystem, prefixes: dict | None = None) -> Verdict:
         return Infeasible(rule, lambda: _certificate(rule, expr, human, elim,
                                                      relations))
 
-    ineqs = [Inequality(elim.reduce(iq.coeffs).num, iq.strict, iq.label)
-             for iq in _auto_inequalities(system)]
-    variables = [s for s in order if s not in elim.pivots]
+    ineqs = side_constraints() + escapes
     res = fm_solve(ineqs, variables)
     if not res.feasible:
         c = res.contradiction
@@ -419,45 +478,49 @@ def solve(system: RelationSystem, prefixes: dict | None = None) -> Verdict:
             "incompatible_inequalities",
             {k: Fraction(v) for k, v in c.coeffs.items()}, {}, None, human))
 
-    reduced_ds = [(d, elim.reduce(d.coeffs).num) for d in diseqs]
     sample = res.sample
-    if any(e and _eval(e, sample) == 0 for _, e in reduced_ds):
+    if any(_eval(num, sample) == 0 for _, _, num, _ in facts):
         sample = _avoid_disequalities(
-            ineqs, variables, [e for _, e in reduced_ds if e]
-        )
+            ineqs, variables, [(num, ones) for _, _, num, ones in facts])
         if sample is None:
-            d = next(d for d, e in reduced_ds if e and _eval(e, res.sample) == 0)
+            coeffs, rule = next((c, r) for c, r, num, _ in facts
+                                if _eval(num, res.sample) == 0)
             return Infeasible("forced_disequality", lambda: Certificate(
-                "forced_disequality", {k: Fraction(v) for k, v in d.coeffs.items()},
+                "forced_disequality", {k: Fraction(v) for k, v in coeffs.items()},
                 {}, None,
-                f"{expr_str(d.coeffs)} = 0 on the whole feasible region "
-                f"(rule {d.rule})"))
+                f"{expr_str(coeffs)} = 0 on the whole feasible region "
+                f"(rule {rule})"))
 
     solution = {s: elim.solution_expr(s) for s in order if s in elim.pivots}
-    free = [s for s in order if s not in elim.pivots]
     return Feasible(
         solution=solution,
-        free=free,
+        free=variables,
         notes=_integrality_notes(system, solution),
         sample=sample,
     )
 
 
-def _avoid_disequalities(ineqs, variables, dis_exprs):
+def _avoid_disequalities(ineqs, variables, facts):
     """Sample point satisfying the inequalities and avoiding every hyperplane
-    in dis_exprs, branching a violated disequality into its two strict sides.
+    of `facts`, pairs (expr, escape): a violated fact branches into its two
+    strict sides and, when it has an escape, the region where the escape's
+    inequalities hold (its equations as pairs).
 
-    A strict side rules its hyperplane out for the rest of the path, so the
-    depth is at most the number of disequalities and needs no cap."""
+    A strict side rules its hyperplane out for the rest of the path, and the
+    escape branch drops its fact, so the depth is at most the number of facts
+    and needs no cap."""
     res = fm_solve(ineqs, variables)
     if not res.feasible:
         return None
     sample = res.sample
-    for e in dis_exprs:
+    for i, (e, escape) in enumerate(facts):
         if _eval(e, sample) == 0:
-            for side in (e, {k: -v for k, v in e.items()}):
-                branched = ineqs + [Inequality(side, strict=True)]
-                out = _avoid_disequalities(branched, variables, dis_exprs)
+            branches = [(ineqs + [Inequality(side, strict=True)], facts)
+                        for side in (e, {k: -v for k, v in e.items()})]
+            if escape:
+                branches.append((ineqs + escape, facts[:i] + facts[i + 1:]))
+            for branched, rest in branches:
+                out = _avoid_disequalities(branched, variables, rest)
                 if out is not None:
                     return out
             return None

@@ -14,10 +14,11 @@ Two consecutive transitions share a middle orbit set, and both prescribe the
 grid values of its hyperbolic actions.  `compatible` builds the joint system
 for the shared middle set - window inequalities for the elliptic
 multiplicities, the fixed-ratio equations, order coherence inside one
-approximation set, the rule that opposite sets meet only at 1, and (for the
-pairs decided by value matching) the assignment of each pinned orbit to a
-value slot of the other transition - and hands each scenario to the exact
-engine.  A pair is Infeasible only when every scenario is.
+approximation set, and (for the pairs decided by value matching) the
+assignment of each pinned orbit to a value slot of the other transition -
+and hands each scenario to the exact engine.  Each member symbol carries the
+set tag of its view, so the engine adds the rule that opposite sets meet
+only at 1 itself.  A pair is Infeasible only when every scenario is.
 
 The probe depth per ordered pair transcribes the source case analysis: the
 24 excluded pairs are decided with the full value-matching probes, the 12
@@ -33,7 +34,6 @@ from fractions import Fraction
 
 from .feasibility import (
     COUNT,
-    Disequality,
     Inequality,
     MEMBER,
     Relation,
@@ -166,13 +166,6 @@ class _SideView:
     e_expr: LinExpr
     ratio: Fraction | None
 
-    @property
-    def gap(self) -> LinExpr:
-        return lin({self.bn: 1, self.b: -1})
-
-    def members(self) -> list[LinExpr]:
-        return [lin({self.b: 1}), lin({self.bn: 1})]
-
 
 def _side_view(t: str, idx: int, role: str) -> _SideView:
     """MODELS[t] seen from its upper or lower set (role), with P, P' and M
@@ -189,10 +182,6 @@ def _side_view(t: str, idx: int, role: str) -> _SideView:
                      named=[inst(e) for e in side.named],
                      etas=tuple(inst(e) for e in model.etas),
                      e_expr=inst(side.e_count), ratio=model.ratio)
-
-
-def _cross_set(expr: LinExpr) -> Disequality:
-    return Disequality(expr, rule="cross_set", label="cross_set")
 
 
 def _side_base(view: _SideView, e_sym: str) -> list:
@@ -213,13 +202,13 @@ def _side_base(view: _SideView, e_sym: str) -> list:
 
 
 def _pair_rules(v1: _SideView, v2: _SideView) -> list[list]:
-    """Coherence branches between the member symbols of two side views.
+    """Order branches between the member symbols of two side views.
 
-    Returns a list of branches; each branch is a flat list of relations,
-    inequalities and disequalities.  Same-set pairs branch on the order of
-    the two bases with successor monotonicity; opposite-set pairs forbid
-    member coincidences and split the gap-gap coincidence into "distinct" or
-    "both equal to 1".
+    Returns a list of branches; each branch is a flat list of relations and
+    inequalities.  Same-set pairs branch on the order of the two bases with
+    successor monotonicity (equal, below, above); opposite-set pairs get one
+    empty branch.  The opposite-set law is not stated here: solve derives it
+    from the symbols' set tags.
     """
     if v1.tag == v2.tag:
         eq = [
@@ -234,23 +223,8 @@ def _pair_rules(v1: _SideView, v2: _SideView) -> list[list]:
             Inequality(lin({v1.b: 1, v2.b: -1, CONST: -1}), label=f"{v2.b}<{v1.b}"),
             Inequality(lin({v1.b: 1, v2.bn: -1}), label=f"{v2.bn}<={v1.b}"),
         ]
-        # gaps live in the opposite set; a gap can never equal a member >= 2
-        gap_rules = [
-            _cross_set(sub_expr(gap, memb))
-            for gap, view in ((v1.gap, v2), (v2.gap, v1))
-            for memb in view.members()
-        ]
-        return [branch + gap_rules for branch in (eq, lt, gt)]
-    # opposite sets: members never coincide (both exceed 1)
-    base = [_cross_set(sub_expr(m1, m2))
-            for m1 in v1.members() for m2 in v2.members()]
-    # the two gaps lie in opposite sets as well: distinct, or both equal 1
-    distinct = base + [_cross_set(sub_expr(v1.gap, v2.gap))]
-    both_one = base + [
-        Relation(sub_expr(v1.gap, lin({CONST: 1})), "gap1=1"),
-        Relation(sub_expr(v2.gap, lin({CONST: 1})), "gap2=1"),
-    ]
-    return [distinct, both_one]
+        return [eq, lt, gt]
+    return [[]]
 
 
 def _matching_branches(v1: _SideView, v2: _SideView) -> list[list[Relation]]:
@@ -296,7 +270,6 @@ def _assemble(symbols: dict, pieces: list, label: str) -> RelationSystem:
         symbols=dict(symbols),
         relations=[p for p in pieces if isinstance(p, Relation)],
         inequalities=[p for p in pieces if isinstance(p, Inequality)],
-        disequalities=[p for p in pieces if isinstance(p, Disequality)],
         label=label,
     )
 
@@ -305,7 +278,7 @@ def _middle_symbols(views: list[_SideView], e_syms: list[str]) -> dict:
     symbols: dict[str, Sym] = {}
     for v in views:
         symbols[v.b] = Sym(v.b, MEMBER, set_tag=v.tag, integer=True)
-        symbols[v.bn] = Sym(v.bn, SUCCESSOR, base=v.b, set_tag=v.tag, integer=True)
+        symbols[v.bn] = Sym(v.bn, SUCCESSOR, base=v.b, integer=True)
         symbols[v.m] = Sym(v.m, COUNT, integer=True)
     for e in e_syms:
         symbols[e] = Sym(e, COUNT, integer=True)

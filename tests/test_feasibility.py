@@ -23,7 +23,7 @@ from echkit.fixtures import (
     run_fixture,
     solve_case,
 )
-from echkit.linear import CONST, lin, scale_expr, sub_expr
+from echkit.linear import CONST, _eval, lin, scale_expr, sub_expr
 
 
 def a_context():
@@ -185,6 +185,84 @@ class TestDisequalitySampler:
         assert isinstance(v, Feasible)
         k = v.sample["k"]
         assert 0 < k < top and k.denominator != 1
+
+
+class TestOppositeSetLaw:
+    """One p-member and one q-member with integer successors.  The engine
+    derives from the set tags that quantities of opposite sets differ unless
+    both are 1: p1, p1n and the q-gap against q1, q1n and the p-gap."""
+
+    GAP_P = lin({"p1n": 1, "p1": -1})
+    GAP_Q = lin({"q1n": 1, "q1": -1})
+
+    def system(self, relations=(), inequalities=()):
+        symbols = {}
+        for tag in ("p", "q"):
+            b, n = f"{tag}1", f"{tag}1n"
+            symbols[b] = Sym(b, "s_member", set_tag=tag, integer=True)
+            symbols[n] = Sym(n, "s_successor", base=b, integer=True)
+        return RelationSystem(symbols, list(relations),
+                              inequalities=list(inequalities))
+
+    def values(self, v) -> dict:
+        """Every symbol's value at the sample, pivots included."""
+        out = dict(v.sample)
+        out.update({s: _eval(e, v.sample) for s, e in v.solution.items()})
+        return out
+
+    def assert_law(self, values):
+        p_set = [values["p1"], values["p1n"], _eval(self.GAP_Q, values)]
+        q_set = [values["q1"], values["q1n"], _eval(self.GAP_P, values)]
+        for x in p_set:
+            for y in q_set:
+                assert x != y or x == y == 1, (p_set, q_set)
+
+    def gaps_equal(self):
+        return Relation(sub_expr(self.GAP_P, self.GAP_Q), "gaps-equal")
+
+    def test_forced_equal_gaps_escape_to_one(self):
+        v = solve(self.system([self.gaps_equal()]))
+        assert isinstance(v, Feasible)
+        values = self.values(v)
+        assert _eval(self.GAP_P, values) == _eval(self.GAP_Q, values) == 1
+        self.assert_law(values)
+
+    def test_forced_equal_gaps_without_the_escape(self):
+        relations = [self.gaps_equal(),
+                     Relation(sub_expr(self.GAP_P, lin({CONST: 2})), "gap-two")]
+        v = solve(self.system(relations))
+        assert isinstance(v, Infeasible)
+        cert = v.certificate
+        assert cert.rule == "cross_set"
+        assert cert.equation == sub_expr(self.GAP_P, self.GAP_Q)
+        by_label = {r.label: r.coeffs for r in relations}
+        total: dict = {}
+        for label, c in cert.combo.items():
+            total = sub_expr(total, scale_expr(by_label[label], -c))
+        assert total == cert.equation
+        assert cert.human == "relations force -p1+p1n+q1-q1n = 0"
+
+    def test_gaps_pinned_by_inequalities(self):
+        """No relation forces the gaps equal, so the sampler meets the
+        gap-gap hyperplane and takes the escape."""
+        pinned = [Inequality(sub_expr(self.GAP_P, self.GAP_Q), label="gp>=gq"),
+                  Inequality(sub_expr(self.GAP_Q, self.GAP_P), label="gq>=gp")]
+        v = solve(self.system(inequalities=pinned))
+        assert isinstance(v, Feasible)
+        values = self.values(v)
+        assert _eval(self.GAP_P, values) == _eval(self.GAP_Q, values) == 1
+        self.assert_law(values)
+        wide = pinned + [Inequality(sub_expr(self.GAP_P, lin({CONST: 2})),
+                                    label="gp>=2")]
+        v = solve(self.system(inequalities=wide))
+        assert isinstance(v, Infeasible)
+        assert v.rule == "forced_disequality"
+        assert v.certificate.human.endswith("(rule cross_set)")
+
+    def test_sample_keeps_the_sets_apart(self):
+        v = solve(self.system())
+        assert isinstance(v, Feasible)
+        self.assert_law(self.values(v))
 
 
 class TestZeroCoefficients:

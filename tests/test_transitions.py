@@ -38,8 +38,10 @@ EXPECTED_ALLOWED = {
 # coefficient dict in its key order: key order steers elimination, so a
 # rewrite that keeps the verdicts but reorders a system still shows here.
 # Relation labels are covered too; a chain system's branch relations carry
-# the members of the two views they relate ("p1/p2 eta-common").
-SCENARIO_DIGEST = "07d0271fd2055dc744ad7a9a3388cb2dc58e9388cd2e91e02957a28790883fa9"
+# the members of the two views they relate ("p1/p2 eta-common").  The
+# systems carry no disequalities and an opposite-set view pair has one order
+# branch, because the engine derives the opposite-set law from the set tags.
+SCENARIO_DIGEST = "43ae957125462ba7b8aa12c7c369d72d01e0c1342897fb7a533fac72a646606f"
 DIGEST_CHAINS = (("b", "a", "b'"), ("a", "b'", "a"))
 
 
@@ -188,9 +190,45 @@ SCENARIO_LISTS = {
 }
 
 
+def hand_built_cross_set(v1, v2) -> list[dict]:
+    """The cross_set disequalities that the pair rules once built by hand,
+    kept as the reference for the engine's own: a gap lies in the opposite
+    set, so it differs from both members of a same-set view; across opposite
+    sets the members differ, and so do the two gaps."""
+    def gap(v):
+        return lin({v.bn: 1, v.b: -1})
+
+    def members(v):
+        return [lin({v.b: 1}), lin({v.bn: 1})]
+
+    if v1.tag == v2.tag:
+        return [sub_expr(gap(v), m)
+                for v, w in ((v1, v2), (v2, v1)) for m in members(w)]
+    return ([sub_expr(m1, m2) for m1 in members(v1) for m2 in members(v2)]
+            + [sub_expr(gap(v1), gap(v2))])
+
+
 class TestScenarioSystems:
     def test_scenario_digest(self):
         assert scenario_digest() == SCENARIO_DIGEST
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_engine_derives_the_hand_built_cross_set_rules(self, full):
+        """The engine's cross-member facts are the hand-built list, in order
+        and in key order; only the gap-gap fact of opposite-set views keeps
+        the escape where both gaps are 1."""
+        for t1 in TYPES:
+            for t2 in TYPES:
+                v1 = transitions._side_view(t1, 1, "upper")
+                v2 = transitions._side_view(t2, 2, "lower")
+                want = [list(e.items()) for e in hand_built_cross_set(v1, v2)]
+                escapes = [False] * 4 + ([] if v1.tag == v2.tag else [True])
+                for system in joint_scenarios(t1, t2, full):
+                    assert system.disequalities == []
+                    got = [(c, e) for c, rule, e in feasibility._facts(system)
+                           if rule == "cross_set"]
+                    assert [list(c.items()) for c, _ in got] == want
+                    assert [e is not None for _, e in got] == escapes
 
     @pytest.mark.parametrize("name", SCENARIO_LISTS)
     def test_shared_prefixes_decide_as_fresh_solves(self, name):
@@ -204,12 +242,14 @@ class TestScenarioSystems:
 
     def test_pair_report_work_counts(self, monkeypatch):
         """Deterministic work of the pair table: one solve per scenario run
-        until a pair turns feasible, each shared relation prefix eliminated
-        once per pair (21,538 adds when every system was eliminated alone),
-        one certificate per excluded pair, built when the table reads it
-        (2,638 when every infeasible scenario built its own), and one
-        Fourier-Motzkin call per member-order or side-constraint question
-        the elimination leaves open."""
+        until a pair turns feasible (2,650 when every opposite-set view pair
+        split into a "distinct" and a "both gaps 1" branch), each shared
+        relation prefix eliminated once per pair (21,538 adds when every
+        system was eliminated alone), one certificate per excluded pair,
+        built when the table reads it (2,638 when every infeasible scenario
+        built its own), with its text (1,853 texts when each fired rule
+        built one), and one Fourier-Motzkin call per member-order,
+        side-constraint or escape question the elimination leaves open."""
         counts = Counter()
 
         def counted(name, fn):
@@ -225,13 +265,16 @@ class TestScenarioSystems:
                             counted("certificate", feasibility.Certificate))
         monkeypatch.setattr(feasibility, "fm_solve",
                             counted("fm_solve", feasibility.fm_solve))
+        monkeypatch.setattr(feasibility, "expr_str",
+                            counted("expr_str", feasibility.expr_str))
         report = pair_report()
-        assert counts == {"solve": 2650, "add": 2494, "fm_solve": 369}
+        # no rule's text is built before its certificate is read
+        assert counts == {"solve": 1874, "add": 2278, "fm_solve": 364}
         for v in report.verdicts.values():
             if not v.feasible:
                 assert v.certificate is v.certificate
-        assert counts == {"solve": 2650, "add": 2494, "fm_solve": 369,
-                          "certificate": 24}
+        assert counts == {"solve": 1874, "add": 2278, "fm_solve": 364,
+                          "expr_str": 24, "certificate": 24}
 
     @pytest.mark.parametrize("triple", DIGEST_CHAINS)
     def test_chain_certificates_replay(self, triple):
