@@ -1,9 +1,9 @@
 """Model geometry E(a, b): action spectrum, lattice-point grading, densities.
 
 The two generators with actions a and b produce the multiset
-{m*a + n*b : m, n >= 0}.  Sorting it gives the capacity sequence; counting
-lattice points below a value gives the even grading; the ratio
-capacity(k)^2 / (2k) approaches a*b, which is the desk-scale shadow of the
+{m*a + n*b : m, n >= 0}.  A heap keyed by exact integer floors sorts it into
+the capacity sequence; counting lattice points below a value gives the even
+grading; capacity(k)^2 / (2k) approaches a*b, the desk-scale shadow of the
 volume law for the spectrum.
 """
 
@@ -12,9 +12,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
-from .exactreal import ExactReal, _sign
+from .exactreal import ExactReal
 from .index import OrbitCatalog, OrbitSet
 from .partitions import s_theta
 
@@ -53,28 +53,20 @@ class Generator:
             raise ValueError("generator exponents must be nonnegative")
 
 
-class _Point:
-    """Frontier lattice point (m, n) with value (x + y*sqrt(d))/den; every
-    point of one heap shares d and den.  m is not kept: only n decides the
-    pushes."""
-
-    __slots__ = ("x", "y", "d", "n")
-
-    def __init__(self, x: int, y: int, d: int, n: int):
-        self.x, self.y, self.d, self.n = x, y, d, n
-
-    def __lt__(self, other: "_Point") -> bool:
-        return _sign(self.x - other.x, self.y - other.y, self.d) < 0
-
-
 def capacities(e: Ellipsoid, kmax: int) -> list[ExactReal]:
     """The first kmax+1 values of the sorted multiset {m*a + n*b}.
 
-    Frontier heap over lattice points; each (m, n) is pushed exactly once
-    ((m, n+1) always, (m+1, 0) only from n == 0).  a and b are put over one
-    denominator and one radicand d, so a point is a pair of integers and a
-    push is integer addition.  Comparisons are exact, so ties in the
-    rational-ratio case keep their multiplicities.
+    Frontier heap: each (m, n) is pushed once ((m, n+1) always, (m+1, 0) only
+    from n == 0).  Over one denominator den and radicand d, (m, n) has value
+    (x + y*sqrt(d))/den, and the heap holds integer tuples
+    (floor(2^s * (x + y*sqrt(d))), n, x, y), so heapq compares integers only.
+    Keys tie only on equal values, so rational-ratio ties keep multiplicity:
+    - (m, n) is popped after the (m+1)(n+1) - 1 >= m + n points below it, so
+      heap points have m + n <= kmax + 1 and |x| + |y|*sqrt(d) <= bound.
+    - Distinct numerators differ by u + v*sqrt(d) of integer norm
+      u^2 - v^2*d != 0 (d squarefree) and conjugate size <= 2*bound, so by
+      at least 1/(2*bound); times 2^s > 2*bound, by more than 1, so their
+      floors differ (and floors never reverse an order).
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
@@ -83,14 +75,22 @@ def capacities(e: Ellipsoid, kmax: int) -> list[ExactReal]:
     den = lcm(a.c, b.c)
     ax, ay = a.a * (den // a.c), a.b * (den // a.c)
     bx, by = b.a * (den // b.c), b.b * (den // b.c)
-    heap = [_Point(0, 0, d, 0)]
+    bound = (kmax + 1) * (max(abs(ax), abs(bx))
+                          + max(abs(ay), abs(by)) * (isqrt(d) + 1))
+    s = bound.bit_length() + 1
+
+    def key(x: int, y: int) -> int:
+        r = isqrt((y * y * d) << 2 * s)  # floor(|y| * 2^s * sqrt(d)), exact
+        return (x << s) + (r if y >= 0 else -r - 1)
+
+    heap = [(0, 0, 0, 0)]
     out: list[ExactReal] = []
-    while len(out) <= kmax:
-        p = heapq.heappop(heap)
-        out.append(ExactReal(p.x, p.y, den, d))
-        heapq.heappush(heap, _Point(p.x + bx, p.y + by, d, p.n + 1))
-        if p.n == 0:
-            heapq.heappush(heap, _Point(p.x + ax, p.y + ay, d, 0))
+    for _ in range(kmax + 1):
+        _, n, x, y = heap[0]
+        out.append(ExactReal(x, y, den, d))
+        heapq.heapreplace(heap, (key(x + bx, y + by), n + 1, x + bx, y + by))
+        if n == 0:
+            heapq.heappush(heap, (key(x + ax, y + ay), 0, x + ax, y + ay))
     return out
 
 

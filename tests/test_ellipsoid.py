@@ -1,5 +1,6 @@
 """Model geometry: spectrum, grading, lattice counts, densities."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,41 @@ class TestCapacities:
         for v in caps:
             w = ExactReal(v.a, v.b, v.c, v.d)
             assert (v.a, v.b, v.c, v.d) == (w.a, w.b, w.c, w.d)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [("577/408", "sqrt(2)"),  # first two values about 2e-6 apart
+         ("3-sqrt(2)", "1+sqrt(2)"),  # differences with negative surd parts
+         ("1", "1"), ("1", "2")],  # rational ties keep their multiplicity
+    )
+    @pytest.mark.parametrize("k", [0, 1, 2000])
+    def test_near_ties_match_bruteforce(self, a, b, k):
+        a, b = parse_real(a), parse_real(b)
+        assert capacities(Ellipsoid(a, b), k) == capacities_bruteforce(a, b, k)
+
+    def test_heap_makes_no_exactreal_comparison(self, monkeypatch):
+        e = Ellipsoid(parse_real("7/4"), parse_real("(5-sqrt(5))/2"))
+
+        def refuse(self, other):
+            raise AssertionError("capacities compared two ExactReal values")
+
+        called = set()
+
+        def record(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code.co_name)
+
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(ExactReal, name, refuse)
+        sys.setprofile(record)
+        try:
+            caps = capacities(e, 5000)
+        finally:
+            sys.setprofile(None)
+        monkeypatch.undo()
+        # heapq compares the entries in C: no Python-level comparison runs
+        assert not called & {"__lt__", "__le__", "__gt__", "__ge__", "_sign"}
+        assert caps == capacities_bruteforce(e.a, e.b, 5000)
 
     def test_mixed_radicands_rejected(self):
         e = Ellipsoid(ExactReal.sqrt(2), ExactReal.sqrt(3))
