@@ -121,7 +121,7 @@ class TestCapacities:
 
     @pytest.mark.parametrize(
         "a,b",
-        [("577/408", "sqrt(2)"),  # first two values about 2e-6 apart
+        [("577/408", "sqrt(2)"),  # a - b is about 2e-6
          ("3-sqrt(2)", "1+sqrt(2)"),  # differences with negative surd parts
          ("1", "1"), ("1", "2")],  # rational ties keep their multiplicity
     )
