@@ -27,7 +27,7 @@ import io
 
 from echkit import fixtures, transitions
 from echkit.cli import main
-from echkit.feasibility import solve
+from echkit.feasibility import decide, solve
 
 DIGEST_CHAINS = (("b", "a", "b'"), ("a", "b'", "a"))
 TABLE_COMMANDS = {
@@ -58,11 +58,9 @@ def lines():
     registry = fixtures.load_registry()
     for name in fixtures.fixture_names(registry):
         fx = registry["fixtures"][name]
-        n_dis = (len(fx["extra_families"][fx["disjunction"]]["elements"])
-                 if "disjunction" in fx else 0)
         for case in fixtures.case_tuples(fx):
-            for d in range(1, n_dis + 1) if n_dis else [None]:
-                system = fixtures.build_case_system(fx, case, disjunct=d)
+            for i, system in enumerate(fixtures.case_systems(fx, case), 1):
+                d = i if "disjunction" in fx else None
                 yield f"solve fixture {name} {case} d{d} {fields(solve(system))}"
     for full in (False, True):
         depth = "full" if full else "skeleton"
@@ -71,13 +69,13 @@ def lines():
                 v = transitions.compatible(t1, t2, full=full)
                 yield f"decide {depth} ({t1},{t2}) {fields(v)}"
     for triple in DIGEST_CHAINS:
-        v = transitions._decide(transitions._joint_chain_scenarios(*triple))
+        v = decide(transitions._joint_chain_scenarios(*triple))
         yield f"decide chain {'-'.join(triple)} {fields(v)}"
     for name in fixtures.fixture_names(registry):
         fx = registry["fixtures"][name]
         for case in fixtures.case_tuples(fx):
-            v, d = fixtures.solve_case(fx, case)
-            yield f"decide fixture {name} {case} d{d} {fields(v)}"
+            v = decide(fixtures.case_systems(fx, case))
+            yield f"decide fixture {name} {case} {fields(v)}"
     for name, argv in TABLE_COMMANDS.items():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):

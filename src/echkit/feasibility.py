@@ -29,7 +29,9 @@ combination of input relations that produces it (so it can be replayed), and
 the accumulated tolerance multiple, from which an explicit eps threshold can
 be recovered.  The certificate is built when it is first read.  A Feasible
 verdict expresses every symbol over the free ones and lists integrality
-notes such as "3P/2 integral".
+notes such as "3P/2 integral".  `decide` settles a disjunction of systems
+(the scenarios of a transition pair or chain, the disjuncts of a fixture
+case), which is infeasible only when every system is.
 
 Elimination runs on the integer rows of linear.Eliminator (numerators over
 one positive denominator per row).  The zero checks behind the rules are
@@ -117,12 +119,25 @@ class RelationSystem:
     label: str = ""
 
     def validate(self):
+        """Raise ValueError naming the first item at fault: a successor whose
+        base is not a declared member, a relation, inequality or disequality
+        over an undeclared symbol, or a repeated relation label."""
+        for s in self.symbols.values():
+            if s.kind == SUCCESSOR and (s.base not in self.symbols
+                                        or self.symbols[s.base].kind != MEMBER):
+                raise ValueError(f"successor {s.name} has base {s.base}, "
+                                 f"which is not a declared {MEMBER}")
         known = set(self.symbols) | {CONST}
+        for kind, items in (("relation", self.relations),
+                            ("inequality", self.inequalities),
+                            ("disequality", self.disequalities)):
+            for item in items:
+                if not known.issuperset(item.coeffs):
+                    raise ValueError(f"{kind} {item.label or expr_str(item.coeffs)}"
+                                     f" uses unknown symbols "
+                                     f"{sorted(set(item.coeffs) - known)}")
         labels = set()
         for r in self.relations:
-            missing = set(r.coeffs) - known
-            if missing:
-                raise ValueError(f"relation {r.label} uses unknown symbols {missing}")
             # a certificate's combination is keyed by label
             if r.label in labels:
                 raise ValueError(f"relation label {r.label} is repeated")
@@ -149,8 +164,8 @@ class Infeasible:
     """A verdict of infeasibility by `rule`.
 
     Its certificate is built when first read, by the zero-argument `certify`:
-    a caller that only ranks verdicts by rule, as `transitions._decide` does,
-    never pays for the certificate of a verdict it discards.
+    `decide`, which only ranks verdicts by rule, never pays for the
+    certificate of a verdict it discards.
     """
 
     feasible = False
@@ -185,9 +200,9 @@ class Feasible:
 Verdict = Infeasible | Feasible
 
 # which rule decides: within one solve (ties go to the earlier check), and
-# across the scenario systems of one pair or chain.  solve returns
-# contradictory_equations before it ranks anything, so its place matters only
-# across systems: bare arithmetic collapses rank last.
+# across the systems of one `decide`.  solve returns contradictory_equations
+# before it ranks anything, so its place matters only across systems: bare
+# arithmetic collapses rank last.
 _RULE_PRIORITY = [
     "cross_set",
     "member_zero",
@@ -483,8 +498,15 @@ def solve(system: RelationSystem, prefixes: dict | None = None) -> Verdict:
         sample = _avoid_disequalities(
             ineqs, variables, [(num, ones) for _, _, num, ones in facts])
         if sample is None:
-            coeffs, rule = next((c, r) for c, r, num, _ in facts
-                                if _eval(num, res.sample) == 0)
+            # the region is covered by the facts' hyperplanes, and a convex
+            # region covered by finitely many lies in one of them: name the
+            # first fact that leaves neither strict side feasible
+            coeffs, rule = next(
+                (c, r) for c, r, num, _ in facts
+                if _eval(num, res.sample) == 0 and not any(
+                    fm_solve(ineqs + [Inequality(side, strict=True)],
+                             variables).feasible
+                    for side in (num, {k: -v for k, v in num.items()})))
             return Infeasible("forced_disequality", lambda: Certificate(
                 "forced_disequality", {k: Fraction(v) for k, v in coeffs.items()},
                 {}, None,
@@ -498,6 +520,23 @@ def solve(system: RelationSystem, prefixes: dict | None = None) -> Verdict:
         notes=_integrality_notes(system, solution),
         sample=sample,
     )
+
+
+def decide(systems: list[RelationSystem]) -> Verdict:
+    """The verdict of a disjunction, which is infeasible only when every
+    system is: the first Feasible verdict, else the Infeasible one whose rule
+    ranks first (ties go to the earlier system).
+
+    The systems are solved through one prefix trie, so relation objects they
+    share, such as a common base, are eliminated once (see `solve`)."""
+    prefixes: dict = {}
+    infeasible = []
+    for system in systems:
+        v = solve(system, prefixes)
+        if v.feasible:
+            return v
+        infeasible.append(v)
+    return min(infeasible, key=lambda v: rule_rank(v.rule))
 
 
 def _avoid_disequalities(ineqs, variables, facts):

@@ -1,11 +1,12 @@
 """Registry of case-analysis fixtures and the runner that re-derives them.
 
 Each fixture bundles a symbol table, base relations that always hold, and
-one relation family per degeneration; a case tuple selects one relation from
-each family.  The runner solves every case exactly and compares the result
-against the expected survivor table (and, where recorded, the expected
-solved actions).  A fixture with a `disjunction` family requires, case by
-case, that at least one disjunct be consistent for the case to survive.
+one relation family per degeneration in `families`; a case tuple selects one
+element of each.  A fixture with a `disjunction` family (kept in
+`extra_families`) gives each case one system per disjunct, and the case
+survives when at least one disjunct is consistent.  The runner decides every
+case exactly with `feasibility.decide` and compares the result against the
+expected survivor table (and, where recorded, the expected solved actions).
 `invariant_suite` adds seeded spot checks of the structural laws of S(theta),
 partitions, the grading step and the grid map.
 """
@@ -27,9 +28,8 @@ from .feasibility import (
     RelationSystem,
     Sym,
     Verdict,
-    solve,
+    decide,
 )
-from .linear import LinExpr
 from .transitions import f_grid
 
 
@@ -54,45 +54,30 @@ def _sym(name: str, d: dict) -> Sym:
     )
 
 
-def _coeffs(d: dict) -> LinExpr:
-    return {k: Fraction(v) for k, v in d.items()}
+def _relations(elements: list[dict], prefix: str) -> list[Relation]:
+    return [Relation({k: Fraction(v) for k, v in r["coeffs"].items()},
+                     prefix + r["label"], Fraction(r.get("eps", 1)))
+            for r in elements]
 
 
-def _family(fx: dict, name: str) -> dict:
-    fams = dict(fx.get("families", {}))
-    fams.update(fx.get("extra_families", {}))
-    return fams[name]
-
-
-def build_case_system(
-    fx: dict, case: tuple[int, ...], disjunct: int | None = None
-) -> RelationSystem:
-    """Relation system for one case tuple (1-based indices into each family)."""
+def case_systems(fx: dict, case: tuple[int, ...]) -> list[RelationSystem]:
+    """The systems of one case tuple (1-based indices into each family): one,
+    or one per disjunct of the `disjunction` family.  They share the base and
+    case Relation objects, so `decide` eliminates that prefix once."""
     symbols = {n: _sym(n, d) for n, d in fx["symbols"].items()}
-    relations = [
-        Relation(_coeffs(r["coeffs"]), r["label"], Fraction(r.get("eps", 1)))
-        for r in fx.get("base_relations", ())
-    ]
+    relations = _relations(fx.get("base_relations", ()), "")
     for fam_name, idx in zip(fx["case_families"], case):
-        fam = _family(fx, fam_name)
-        for r in fam["elements"][idx - 1]:
-            relations.append(
-                Relation(_coeffs(r["coeffs"]), f"{fam_name}:{r['label']}",
-                         Fraction(r.get("eps", 1)))
-            )
-    if disjunct is not None:
-        fam = _family(fx, fx["disjunction"])
-        for r in fam["elements"][disjunct - 1]:
-            relations.append(
-                Relation(_coeffs(r["coeffs"]), f"disjunct:{r['label']}",
-                         Fraction(r.get("eps", 1)))
-            )
-    return RelationSystem(symbols=symbols, relations=relations,
-                          label=f"case {case}")
+        relations += _relations(fx["families"][fam_name]["elements"][idx - 1],
+                                f"{fam_name}:")
+    disjuncts = ([_relations(d, "disjunct:")
+                  for d in fx["extra_families"][fx["disjunction"]]["elements"]]
+                 if "disjunction" in fx else [[]])
+    return [RelationSystem(symbols=symbols, relations=relations + d,
+                           label=f"case {case}") for d in disjuncts]
 
 
 def case_tuples(fx: dict) -> list[tuple[int, ...]]:
-    sizes = [len(_family(fx, f)["elements"]) for f in fx["case_families"]]
+    sizes = [len(fx["families"][f]["elements"]) for f in fx["case_families"]]
     return list(itertools.product(*[range(1, n + 1) for n in sizes]))
 
 
@@ -103,24 +88,9 @@ def case_display(fx: dict, case: tuple[int, ...]) -> str:
 def case_labels(fx: dict, case: tuple[int, ...]) -> str:
     parts = []
     for fam_name, idx in zip(fx["case_families"], case):
-        labels = _family(fx, fam_name).get("labels")
+        labels = fx["families"][fam_name].get("labels")
         parts.append(labels[idx - 1] if labels else str(idx))
     return "[" + ",".join(parts) + "]"
-
-
-def solve_case(fx: dict, case: tuple[int, ...]) -> tuple[Verdict, int | None]:
-    """Verdict for one case; with a disjunction family the case is feasible
-    iff some disjunct is, and the verdict of the first feasible one is kept."""
-    if "disjunction" not in fx:
-        return solve(build_case_system(fx, case)), None
-    n = len(_family(fx, fx["disjunction"])["elements"])
-    verdicts = []
-    for d in range(1, n + 1):
-        v = solve(build_case_system(fx, case, disjunct=d))
-        if v.feasible:
-            return v, d
-        verdicts.append(v)
-    return verdicts[0], None
 
 
 @dataclass
@@ -130,7 +100,6 @@ class CaseRow:
     labels: str
     expected_feasible: bool
     verdict: Verdict
-    disjunct: int | None
     match: bool
     solution_ok: bool | None  # None when no expected solution is recorded
 
@@ -174,7 +143,7 @@ def run_fixture(name: str, registry: dict | None = None) -> FixtureResult:
     solutions = expected.get("solutions", {})
     result = FixtureResult(name=name, title=fx.get("title", ""))
     for case in case_tuples(fx):
-        verdict, disjunct = solve_case(fx, case)
+        verdict = decide(case_systems(fx, case))
         want_feasible = (not all_infeasible) and (case in survivors)
         sol_ok = None
         key = ",".join(str(i) for i in case)
@@ -187,7 +156,6 @@ def run_fixture(name: str, registry: dict | None = None) -> FixtureResult:
                 labels=case_labels(fx, case),
                 expected_feasible=want_feasible,
                 verdict=verdict,
-                disjunct=disjunct,
                 match=verdict.feasible == want_feasible,
                 solution_ok=sol_ok,
             )

@@ -16,9 +16,10 @@ for the shared middle set - window inequalities for the elliptic
 multiplicities, the fixed-ratio equations, order coherence inside one
 approximation set, and (for the pairs decided by value matching) the
 assignment of each pinned orbit to a value slot of the other transition -
-and hands each scenario to the exact engine.  Each member symbol carries the
-set tag of its view, so the engine adds the rule that opposite sets meet
-only at 1 itself.  A pair is Infeasible only when every scenario is.
+and hands the scenarios to the exact engine's `decide`.  Each member symbol
+carries the set tag of its view, so the engine adds the rule that opposite
+sets meet only at 1 itself.  A pair is Infeasible only when every scenario
+is.
 
 The probe depth per ordered pair transcribes the source case analysis: the
 24 excluded pairs are decided with the full value-matching probes, the 12
@@ -41,8 +42,7 @@ from .feasibility import (
     SUCCESSOR,
     Sym,
     Verdict,
-    rule_rank,
-    solve,
+    decide,
 )
 from .linear import CONST, LinExpr, lin, sub_expr
 
@@ -304,23 +304,6 @@ def joint_scenarios(t1: str, t2: str, full: bool) -> list[RelationSystem]:
     ]
 
 
-def _decide(systems: list[RelationSystem]) -> Verdict:
-    """The first feasible verdict, else the infeasible one whose rule ranks
-    first (ties go to the earlier system).
-
-    The systems share relation objects (base, pair-rule branch, matching
-    branch), so one prefix trie for the call eliminates each shared prefix
-    once."""
-    prefixes: dict = {}
-    infeasible = []
-    for system in systems:
-        v = solve(system, prefixes)
-        if v.feasible:
-            return v
-        infeasible.append(v)
-    return min(infeasible, key=lambda v: rule_rank(v.rule))
-
-
 def compatible(t1: str, t2: str, full: bool | None = None) -> Verdict:
     """Joint verdict for consecutive transitions of types (t1, t2).
 
@@ -332,7 +315,7 @@ def compatible(t1: str, t2: str, full: bool | None = None) -> Verdict:
         raise ValueError("unknown transition type")
     if full is None:
         full = (t1, t2) in EXCLUDED_PAIRS
-    return _decide(joint_scenarios(t1, t2, full))
+    return decide(joint_scenarios(t1, t2, full))
 
 
 @dataclass
@@ -470,7 +453,7 @@ def chain_check(allowed: list[tuple[str, str]] | None = None) -> ChainReport:
             elif not (m2 := probe(t2, t3)).feasible:
                 verdict, decided = m2, "middle2"
             else:
-                verdict = _decide(_joint_chain_scenarios(t1, t2, t3))
+                verdict = decide(_joint_chain_scenarios(t1, t2, t3))
                 decided = "joint"
             rows.append(ChainRow((t1, t2, t3), verdict, decided))
     return ChainReport(rows, allowed)

@@ -2,8 +2,10 @@
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,13 +18,13 @@ TABLE_COMMANDS = {
     "chains": ("transitions", "chains"),
 }
 
-# sha256 of each command's --json output (the first three are the digests in
+# sha256 of each command's --json output (all but verify_cases are the digests in
 # perfbench/README.md).  verify_cases pins every fixture certificate, which the
 # rule order decides.  A change that alters a verdict on purpose updates them
 # and says why in CHANGES.md.
 TABLE_DIGESTS = {
     "verify_all": "be839241c50276bc766bce2dccf7540db5ef1f522a639bf20ce9af31de4d86d3",
-    "verify_cases": "0327e4a1a008f5721d6fc5d403896be257d556c05c122a288c0ef9d7a82ada1d",
+    "verify_cases": "83375decae9de0f36535d9cb9c19e2fc17e489f0529f8deec3069bb6656daae7",
     "pairs": "6805dc675cfec61cdb6a9c6793262d94354a676e8b87328922ee66493f2aeeb7",
     "chains": "3565af9d5b97d85c977a95907526bd2c4fd317a4e2266d65a6c116173944e346",
 }
@@ -211,6 +213,17 @@ class TestTransitionsCommands:
     def test_golden_digests(self, table_output):
         digests = {name: hashlib.sha256(table_output(name)[1].encode()).hexdigest()
                    for name in TABLE_COMMANDS}
+        assert digests == TABLE_DIGESTS
+
+    def test_verdict_dump_ends_with_the_golden_digests(self):
+        """scripts/verdicts.py, which dumps every verdict behind the tables
+        for a diff between two checkouts, runs and prints these digests."""
+        path = Path(__file__).parents[1] / "scripts" / "verdicts.py"
+        spec = importlib.util.spec_from_file_location("verdicts", path)
+        verdicts = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(verdicts)
+        digests = dict(line.split()[1:] for line in verdicts.lines()
+                       if line.startswith("digest "))
         assert digests == TABLE_DIGESTS
 
 

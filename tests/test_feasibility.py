@@ -12,16 +12,17 @@ from echkit.feasibility import (
     Relation,
     RelationSystem,
     Sym,
+    decide,
+    rule_rank,
     solve,
 )
 from echkit.fixtures import (
-    build_case_system,
+    case_systems,
     case_tuples,
     fixture_names,
     load_registry,
     run_all,
     run_fixture,
-    solve_case,
 )
 from echkit.linear import CONST, _eval, lin, scale_expr, sub_expr
 
@@ -138,6 +139,28 @@ class TestSolveExamples:
             ],
         )
         with pytest.raises(ValueError, match="repeated"):
+            solve(system)
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(inequalities=[Inequality(lin({"Z": 1}), label="Z>=0")]),
+         r"inequality Z>=0 uses unknown symbols \['Z'\]"),
+        (dict(inequalities=[Inequality(lin({"Z": 1, "P": -1}))]),
+         r"inequality -P\+Z uses unknown symbols \['Z'\]"),
+        (dict(disequalities=[Disequality(lin({"Z": 1, "P": -1}), "cross_set",
+                                         label="Z!=P")]),
+         r"disequality Z!=P uses unknown symbols \['Z'\]"),
+        (dict(symbols={"P_next": Sym("P_next", "s_successor", base="X")}),
+         "successor P_next has base X, which is not a declared s_member"),
+        (dict(symbols={"C": Sym("C", "count"),
+                       "P_next": Sym("P_next", "s_successor", base="C")}),
+         "successor P_next has base C, which is not a declared s_member"),
+    ])
+    def test_invalid_system_names_the_item(self, change, message):
+        """An undeclared symbol in a side constraint, or a successor whose
+        base is missing or not a member, is rejected before elimination."""
+        symbols = {**a_context(), **change.pop("symbols", {})}
+        system = RelationSystem(symbols, [CLUBS], **change)
+        with pytest.raises(ValueError, match=message):
             solve(system)
 
 
@@ -257,6 +280,9 @@ class TestOppositeSetLaw:
         v = solve(self.system(inequalities=wide))
         assert isinstance(v, Infeasible)
         assert v.rule == "forced_disequality"
+        # the forced fact: the first sample meets p1 = q1 as well, which the
+        # region leaves open
+        assert v.certificate.equation == sub_expr(self.GAP_P, self.GAP_Q)
         assert v.certificate.human.endswith("(rule cross_set)")
 
     def test_sample_keeps_the_sets_apart(self):
@@ -315,11 +341,7 @@ class TestCertificates:
         for name in fixture_names(registry):
             fx = registry["fixtures"][name]
             for case in case_tuples(fx):
-                n_dis = (len(fx["extra_families"][fx["disjunction"]]["elements"])
-                         if "disjunction" in fx else 0)
-                disjuncts = range(1, n_dis + 1) if n_dis else [None]
-                for d in disjuncts:
-                    system = build_case_system(fx, case, disjunct=d)
+                for d, system in enumerate(case_systems(fx, case), 1):
                     v = solve(system)
                     if v.feasible:
                         continue
@@ -342,10 +364,12 @@ class TestCertificates:
         for name in fixture_names(registry):
             fx = registry["fixtures"][name]
             for case in case_tuples(fx):
-                v, d = solve_case(fx, case)
+                systems = case_systems(fx, case)
+                v = decide(systems)
                 if not v.feasible:
                     continue
-                system = build_case_system(fx, case, disjunct=d)
+                # decide keeps the first feasible system's verdict
+                system = next(s for s in systems if solve(s).feasible)
                 for rel in system.relations:
                     residue: dict = {}
                     for sym, coeff in rel.coeffs.items():
@@ -391,6 +415,22 @@ class TestFixtureTables:
     def test_run_all(self):
         results = run_all()
         assert all(r.ok for r in results.values())
+
+    @pytest.mark.parametrize("name", ["exc_A", "exc_B", "typB"])
+    def test_disjunctive_case_keeps_the_best_ranked_rule(self, name):
+        """A case whose disjuncts are all infeasible reports the rule that
+        ranks first among theirs, as a pair reports across its scenarios."""
+        fx = load_registry()["fixtures"][name]
+        assert "disjunction" in fx
+        checked = 0
+        for row in run_fixture(name).rows:
+            if row.verdict.feasible:
+                continue
+            rules = [solve(s).rule for s in case_systems(fx, row.case)]
+            assert rule_rank(row.verdict.rule) == min(map(rule_rank, rules)), (
+                row.display, row.verdict.rule, rules)
+            checked += 1
+        assert checked
 
 
 class TestSurvivorProfiles:

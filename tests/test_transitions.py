@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echkit import feasibility, linear, transitions
-from echkit.feasibility import solve
+from echkit import feasibility, fixtures, linear, transitions
+from echkit.feasibility import decide, rule_rank, solve
 from echkit.linear import lin, scale_expr, sub_expr
 from echkit.transitions import (
     ALLOWED_PAIRS,
@@ -187,6 +187,10 @@ SCENARIO_LISTS = {
     "full": lambda: [joint_scenarios(t1, t2, True) for t1 in TYPES for t2 in TYPES],
     **{"chain:" + "-".join(t): (lambda t=t: [_joint_chain_scenarios(*t)])
        for t in DIGEST_CHAINS},
+    "fixtures": lambda: [
+        fixtures.case_systems(fx, case)
+        for fx in fixtures.load_registry()["fixtures"].values()
+        for case in fixtures.case_tuples(fx)],
 }
 
 
@@ -232,13 +236,19 @@ class TestScenarioSystems:
 
     @pytest.mark.parametrize("name", SCENARIO_LISTS)
     def test_shared_prefixes_decide_as_fresh_solves(self, name):
-        """Each list shares one prefix trie, as in a pair's or chain's
-        decision; every verdict equals the system solved alone."""
+        """Each list shares one prefix trie, as in `decide`; every verdict
+        equals the system solved alone, and `decide` keeps the first
+        feasible one, else the first of the best-ranked rule."""
         for systems in SCENARIO_LISTS[name]():
             prefixes: dict = {}
+            fresh = []
             for system in systems:
+                fresh.append(solve(system))
                 assert (verdict_fields(solve(system, prefixes))
-                        == verdict_fields(solve(system))), system.label
+                        == verdict_fields(fresh[-1])), system.label
+            want = next((v for v in fresh if v.feasible), None) or min(
+                fresh, key=lambda v: rule_rank(v.rule))
+            assert verdict_fields(decide(systems)) == verdict_fields(want)
 
     def test_pair_report_work_counts(self, monkeypatch):
         """Deterministic work of the pair table: one solve per scenario run
@@ -260,7 +270,7 @@ class TestScenarioSystems:
 
         monkeypatch.setattr(linear.Eliminator, "add",
                             counted("add", linear.Eliminator.add))
-        monkeypatch.setattr(transitions, "solve", counted("solve", transitions.solve))
+        monkeypatch.setattr(feasibility, "solve", counted("solve", feasibility.solve))
         monkeypatch.setattr(feasibility, "Certificate",
                             counted("certificate", feasibility.Certificate))
         monkeypatch.setattr(feasibility, "fm_solve",
