@@ -1,10 +1,10 @@
 """Model geometry E(a, b): action spectrum, lattice-point grading, densities.
 
 The two generators with actions a and b produce the multiset
-{m*a + n*b : m, n >= 0}.  A heap keyed by exact integer floors sorts it into
-the capacity sequence; counting lattice points below a value gives the even
-grading; capacity(k)^2 / (2k) approaches a*b, the desk-scale shadow of the
-volume law for the spectrum.
+{m*a + n*b : m, n >= 0}.  A heap keyed by an exact linear integer key sorts
+it into the capacity sequence; counting lattice points below a value gives
+the even grading; capacity(k)^2 / (2k) approaches a*b, the desk-scale shadow
+of the volume law for the spectrum.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .exactreal import ExactReal
+from .exactreal import ExactReal, _from_squarefree
 from .index import OrbitCatalog, OrbitSet
 from .partitions import s_theta
 
@@ -58,15 +58,22 @@ def capacities(e: Ellipsoid, kmax: int) -> list[ExactReal]:
 
     Frontier heap: each (m, n) is pushed once ((m, n+1) always, (m+1, 0) only
     from n == 0).  Over one denominator den and radicand d, (m, n) has value
-    (x + y*sqrt(d))/den, and the heap holds integer tuples
-    (floor(2^s * (x + y*sqrt(d))), n, x, y), so heapq compares integers only.
-    Keys tie only on equal values, so rational-ratio ties keep multiplicity:
+    (x + y*sqrt(d))/den, and the heap holds integer tuples (L, n, x, y) with
+    the linear key L(x, y) = x*2^s + y*B, B = floor(2^s*sqrt(d)).  L is
+    additive, so a push adds La = L(a) or Lb = L(b) to the popped key, and
+    heapq compares integers only.  The keys order the points exactly and tie
+    only on equal values, so rational-ratio ties keep their multiplicity:
     - (m, n) is popped after the (m+1)(n+1) - 1 >= m + n points below it, so
       heap points have m + n <= kmax + 1 and |x| + |y|*sqrt(d) <= bound.
-    - Distinct numerators differ by u + v*sqrt(d) of integer norm
-      u^2 - v^2*d != 0 (d squarefree) and conjugate size <= 2*bound, so by
-      at least 1/(2*bound); times 2^s > 2*bound, by more than 1, so their
-      floors differ (and floors never reverse an order).
+    - For heap points P and Q let delta = (x_P - x_Q) + w*sqrt(d) with
+      w = y_P - y_Q, and B = 2^s*sqrt(d) - eps with 0 <= eps < 1.  Then
+      L_P - L_Q = 2^s*delta - w*eps, and |w| <= 2*bound.
+    - If delta != 0 it has integer norm (x_P - x_Q)^2 - w^2*d != 0 (d
+      squarefree) and conjugate size <= 2*bound, so |delta| >= 1/(2*bound).
+      With s = 2*bit_length(bound) + 2, 2^s > 4*bound^2, so |2^s*delta| >
+      2*bound >= |w*eps|: L_P - L_Q has the sign of delta and is not 0.
+    - If delta == 0 then x and y are equal (sqrt(d) is irrational, or d = 1
+      and every y is 0), and so are the keys.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
@@ -77,20 +84,18 @@ def capacities(e: Ellipsoid, kmax: int) -> list[ExactReal]:
     bx, by = b.a * (den // b.c), b.b * (den // b.c)
     bound = (kmax + 1) * (max(abs(ax), abs(bx))
                           + max(abs(ay), abs(by)) * (isqrt(d) + 1))
-    s = bound.bit_length() + 1
-
-    def key(x: int, y: int) -> int:
-        r = isqrt((y * y * d) << 2 * s)  # floor(|y| * 2^s * sqrt(d)), exact
-        return (x << s) + (r if y >= 0 else -r - 1)
+    s = 2 * bound.bit_length() + 2
+    root = isqrt(d << 2 * s)  # B = floor(2^s * sqrt(d)), exact
+    la, lb = (ax << s) + ay * root, (bx << s) + by * root
 
     heap = [(0, 0, 0, 0)]
     out: list[ExactReal] = []
     for _ in range(kmax + 1):
-        _, n, x, y = heap[0]
-        out.append(ExactReal(x, y, den, d))
-        heapq.heapreplace(heap, (key(x + bx, y + by), n + 1, x + bx, y + by))
+        key, n, x, y = heap[0]
+        out.append(_from_squarefree(x, y, den, d))
+        heapq.heapreplace(heap, (key + lb, n + 1, x + bx, y + by))
         if n == 0:
-            heapq.heappush(heap, (key(x + ax, y + ay), 0, x + ax, y + ay))
+            heapq.heappush(heap, (key + la, 0, x + ax, y + ay))
     return out
 
 

@@ -2,7 +2,19 @@
 
 Values are rationals or quadratic surds (a + b*sqrt(d))/c kept in a canonical
 form, so floors, ceilings and comparisons are decided by integer arithmetic
-alone.  There is no floating-point fast path: every predicate that matters
+alone.
+
+Two constructors share one normalisation, `_normalise`: collapse b*sqrt(1)
+and b == 0 to a rational, make c positive, divide out gcd(a, b, c).
+- The public `ExactReal(a, b, c, d)` checks c and d and splits d into its
+  square and squarefree parts (`_squarefree_split`) before normalising, so
+  any positive radicand is accepted.
+- The internal `_from_squarefree(a, b, c, d)` only normalises.  It requires
+  c != 0 and d squarefree: arithmetic on canonical operands, `floor_mul`,
+  `ceil_mul` and `ellipsoid.capacities` use it, because their radicand comes
+  from a canonical value and splitting it again would find nothing.
+
+There is no floating-point fast path: every predicate that matters
 downstream (membership in a best-approximation set, a partition entry, an
 index parity) must be exact.
 """
@@ -64,14 +76,7 @@ class ExactReal:
             s, f = _squarefree_split(d)
             b *= s
             d = f
-        if b == 0 or d == 1:
-            a, b, d = a + b, 0, 1
-        if c < 0:
-            a, b, c = -a, -b, -c
-        g = gcd(a, b, c)
-        if g > 1:
-            a, b, c = a // g, b // g, c // g
-        self.a, self.b, self.c, self.d = a, b, c, d
+        _normalise(self, a, b, c, d)
 
     # -- constructors ------------------------------------------------------
 
@@ -133,12 +138,12 @@ class ExactReal:
         d = self._common_d(o)
         a = self.a * o.c + o.a * self.c
         b = self.b * o.c + o.b * self.c
-        return ExactReal(a, b, self.c * o.c, d)
+        return _from_squarefree(a, b, self.c * o.c, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactReal(-self.a, -self.b, self.c, self.d)
+        return _from_squarefree(-self.a, -self.b, self.c, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -156,7 +161,7 @@ class ExactReal:
         d = self._common_d(o)
         a = self.a * o.a + self.b * o.b * d
         b = self.a * o.b + self.b * o.a
-        return ExactReal(a, b, self.c * o.c, d)
+        return _from_squarefree(a, b, self.c * o.c, d)
 
     __rmul__ = __mul__
 
@@ -167,16 +172,17 @@ class ExactReal:
         if o.a == 0 and o.b == 0:
             raise ZeroDivisionError
         if o.b == 0:
-            return ExactReal(self.a * o.c, self.b * o.c, self.c * o.a, self.d)
+            return _from_squarefree(self.a * o.c, self.b * o.c, self.c * o.a,
+                                    self.d)
         d = self._common_d(o)
         # multiply by the conjugate: (a - b sqrt(d)) / ((a^2 - b^2 d)/c)
         norm = o.a * o.a - o.b * o.b * d  # nonzero: sqrt(d) irrational
-        num = self * ExactReal(o.a, -o.b, 1, d)
-        return ExactReal(num.a * o.c, num.b * o.c, num.c * norm, num.d)
+        num = self * _from_squarefree(o.a, -o.b, 1, d)
+        return _from_squarefree(num.a * o.c, num.b * o.c, num.c * norm, num.d)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        return o / self
+        return o if o is NotImplemented else o / self
 
     # -- ordering ----------------------------------------------------------
 
@@ -191,19 +197,26 @@ class ExactReal:
         return (self.a, self.b, self.c, self.d) == (o.a, o.b, o.c, o.d)
 
     def __hash__(self):
+        # a rational value hashes as the equal int or Fraction does
+        if self.b == 0:
+            return hash(Fraction(self.a, self.c))
         return hash((self.a, self.b, self.c, self.d))
 
     def __lt__(self, other):
-        return (self - other)._sign() < 0
+        o = self._coerce(other)
+        return o if o is NotImplemented else (self - o)._sign() < 0
 
     def __le__(self, other):
-        return (self - other)._sign() <= 0
+        o = self._coerce(other)
+        return o if o is NotImplemented else (self - o)._sign() <= 0
 
     def __gt__(self, other):
-        return (self - other)._sign() > 0
+        o = self._coerce(other)
+        return o if o is NotImplemented else (self - o)._sign() > 0
 
     def __ge__(self, other):
-        return (self - other)._sign() >= 0
+        o = self._coerce(other)
+        return o if o is NotImplemented else (self - o)._sign() >= 0
 
     # -- floors ------------------------------------------------------------
 
@@ -230,18 +243,43 @@ class ExactReal:
         return f"({core})/{self.c}" if self.c != 1 else f"({core})"
 
 
+def _normalise(r: ExactReal, a: int, b: int, c: int, d: int) -> ExactReal:
+    """Store the canonical form of (a + b*sqrt(d))/c in r (c != 0, d squarefree)."""
+    if b == 0 or d == 1:
+        a, b, d = a + b, 0, 1
+    if c < 0:
+        a, b, c = -a, -b, -c
+    g = gcd(a, b, c)
+    if g > 1:
+        a, b, c = a // g, b // g, c // g
+    r.a, r.b, r.c, r.d = a, b, c, d
+    return r
+
+
+_new = object.__new__
+
+
+def _from_squarefree(a: int, b: int, c: int, d: int) -> ExactReal:
+    """ExactReal (a + b*sqrt(d))/c for c != 0 and squarefree d, unchecked.
+
+    Skips `__init__`'s checks and radicand split; d must come from a
+    canonical value (or be 1).
+    """
+    return _normalise(_new(ExactReal), a, b, c, d)
+
+
 def floor_mul(q: int, theta: ExactReal) -> int:
     """Exact floor(q * theta) for a positive integer q."""
     if q < 1:
         raise ValueError("q must be a positive integer")
-    return ExactReal(theta.a * q, theta.b * q, theta.c, theta.d).floor()
+    return _from_squarefree(theta.a * q, theta.b * q, theta.c, theta.d).floor()
 
 
 def ceil_mul(q: int, theta: ExactReal) -> int:
     """Exact ceil(q * theta); equals floor_mul(q, theta) + 1 off the integers."""
     if q < 1:
         raise ValueError("q must be a positive integer")
-    return ExactReal(theta.a * q, theta.b * q, theta.c, theta.d).ceil()
+    return _from_squarefree(theta.a * q, theta.b * q, theta.c, theta.d).ceil()
 
 
 def cmp_ceil_fractions(q: int, qp: int, theta: ExactReal) -> int:

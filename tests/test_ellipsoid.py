@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from echkit import ellipsoid, exactreal
 from echkit.ellipsoid import (
     Ellipsoid,
     Generator,
@@ -158,6 +159,33 @@ class TestCapacities:
         e = Ellipsoid(ExactReal.sqrt(2), ExactReal.sqrt(3))
         with pytest.raises(ValueError, match="cannot mix"):
             capacities(e, 1)
+
+    def test_deep_spectrum_matches_bruteforce(self):
+        # a key scale of 2^(bit_length(bound) + 1) misorders this spectrum
+        # from k = 19,799 on; the linear key needs 2^s > 4*bound^2
+        a, b = ExactReal.from_fraction(Fraction(7, 5)), ExactReal.sqrt(2)
+        assert capacities(Ellipsoid(a, b), 20000) == capacities_bruteforce(a, b, 20000)
+
+    def test_work_is_one_addition_per_push(self, monkeypatch):
+        """No radicand split, and a fixed number of isqrt calls, whatever k."""
+        e = Ellipsoid(parse_real("7/4"), parse_real("(5-sqrt(5))/2"))
+        calls = {"split": 0, "isqrt": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(exactreal, "_squarefree_split",
+                            counted("split", exactreal._squarefree_split))
+        monkeypatch.setattr(ellipsoid, "isqrt", counted("isqrt", ellipsoid.isqrt))
+        seen = []
+        for k in (10, 2000):
+            calls.update(split=0, isqrt=0)
+            capacities(e, k)
+            seen.append(dict(calls))
+        assert seen == [{"split": 0, "isqrt": 2}] * 2
 
 
 class TestGenIndex:

@@ -1,7 +1,10 @@
 """Exact surd arithmetic against decimal and structural oracles."""
 
+import operator
 import random
+import re
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from echkit.exactreal import (
     ExactReal,
+    _from_squarefree,
     _sign,
     ceil_mul,
     cmp_ceil_fractions,
@@ -54,6 +58,79 @@ class TestCanonicalForm:
     def test_mixed_radicals_rejected(self):
         with pytest.raises(ValueError):
             ExactReal.sqrt(2) + ExactReal.sqrt(3)
+
+    @pytest.mark.parametrize(
+        "op,left,right",
+        [(operator.truediv, 1.5, ExactReal(2)),
+         (operator.truediv, ExactReal(2), 1.5),
+         (operator.lt, ExactReal(2), 1.5),
+         (operator.le, ExactReal(2), 1.5),
+         (operator.gt, ExactReal(2), 1.5),
+         (operator.ge, ExactReal(2), 1.5),
+         (operator.lt, 1.5, SQRT2M1),
+         (operator.ge, "1", SQRT2M1)],
+    )
+    def test_uncoercible_operand_raises_type_error(self, op, left, right):
+        # Python's own message, naming the operator that was asked for
+        symbol = {operator.truediv: "/", operator.lt: "<", operator.le: "<=",
+                  operator.gt: ">", operator.ge: ">="}[op]
+        with pytest.raises(TypeError, match=f"(for |'){re.escape(symbol)}(:|' )"):
+            op(left, right)
+
+
+SQUAREFREE = [1, 2, 3, 5, 6, 7, 10, 11, 13]
+
+
+def _assert_canonical(x, d):
+    assert x.c > 0
+    assert gcd(x.a, x.b, x.c) == 1
+    assert (x.b, x.d) == (0, 1) if x.b == 0 else x.d == d
+
+
+@settings(max_examples=300)
+@given(st.integers(-30, 30), st.integers(-30, 30),
+       st.integers(-30, 30).filter(bool), st.sampled_from(SQUAREFREE),
+       st.integers(1, 12))
+def test_internal_constructor_matches_public(a, b, c, d, g):
+    for args in ((a, b, c, d), (g * a, g * b, g * c, d), (a, 0, c, d)):
+        x, y = _from_squarefree(*args), ExactReal(*args)
+        assert (x.a, x.b, x.c, x.d) == (y.a, y.b, y.c, y.d)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(SQUAREFREE[1:]).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(
+        st.builds(ExactReal, st.integers(-40, 40), st.integers(-5, 5),
+                  st.integers(-15, 15).filter(bool), st.just(d)),
+        min_size=2, max_size=2))))
+def test_arithmetic_results_are_canonical(d_xy):
+    d, (x, y) = d_xy
+    results = [x + y, x - y, x * y, -x]
+    if y != 0:
+        results.append(x / y)
+    for r in results:
+        _assert_canonical(r, d)
+        again = ExactReal(r.a, r.b, r.c, r.d)
+        assert (r.a, r.b, r.c, r.d) == (again.a, again.b, again.c, again.d)
+
+
+@settings(max_examples=200)
+@given(st.integers(-50, 50), st.integers(1, 20), st.integers(-5, 5),
+       st.sampled_from(SQUAREFREE[1:]), st.integers(1, 6), st.integers(1, 4))
+def test_equal_values_hash_equal(a, c, b, d, k, s):
+    """Every spelling of one value hashes alike, across int, Fraction and
+    ExactReal, so mixed sets and dict keys see one value."""
+    q = Fraction(a, c)
+    spellings = [q, ExactReal.from_fraction(q), ExactReal(a * k, 0, c * k),
+                 ExactReal(a * k * s, 0, c * k * s, d * d)]
+    if q.denominator == 1:
+        spellings.append(int(q))
+    assert all(v == spellings[0] for v in spellings)
+    assert len({hash(v) for v in spellings}) == 1
+    assert len(set(spellings)) == 1
+    x = ExactReal(a, b, c, d)
+    y = ExactReal(a * k * s, b * k, c * k * s, d * s * s)
+    assert x == y and hash(x) == hash(y)
 
 
 class TestFloorCeil:
