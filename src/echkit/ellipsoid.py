@@ -67,7 +67,7 @@ def capacities(e: Ellipsoid, kmax: int) -> list[ExactReal]:
       heap points have m + n <= kmax + 1 and |x| + |y|*sqrt(d) <= bound.
     - For heap points P and Q let delta = (x_P - x_Q) + w*sqrt(d) with
       w = y_P - y_Q, and B = 2^s*sqrt(d) - eps with 0 <= eps < 1.  Then
-      L_P - L_Q = 2^s*delta - w*eps, and |w| <= 2*bound.
+      L_P - L_Q = 2^s*delta - w*eps, and |w| <= 2*bound (|y| <= bound).
     - If delta != 0 it has integer norm (x_P - x_Q)^2 - w^2*d != 0 (d
       squarefree) and conjugate size <= 2*bound, so |delta| >= 1/(2*bound).
       With s = 2*bit_length(bound) + 2, 2^s > 4*bound^2, so |2^s*delta| >

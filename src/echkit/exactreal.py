@@ -256,16 +256,13 @@ def _normalise(r: ExactReal, a: int, b: int, c: int, d: int) -> ExactReal:
     return r
 
 
-_new = object.__new__
-
-
 def _from_squarefree(a: int, b: int, c: int, d: int) -> ExactReal:
     """ExactReal (a + b*sqrt(d))/c for c != 0 and squarefree d, unchecked.
 
     Skips `__init__`'s checks and radicand split; d must come from a
     canonical value (or be 1).
     """
-    return _normalise(_new(ExactReal), a, b, c, d)
+    return _normalise(object.__new__(ExactReal), a, b, c, d)
 
 
 def floor_mul(q: int, theta: ExactReal) -> int:
