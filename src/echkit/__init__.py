@@ -11,7 +11,7 @@ Modules:
   cli          command-line entry point
 """
 
-from .exactreal import ExactReal, ceil_mul, cmp_ceil_fractions, floor_mul, parse_real
+from .exactreal import ExactReal, ceil_mul, floor_mul, parse_real
 from .partitions import (
     Partition,
     SSet,

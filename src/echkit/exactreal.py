@@ -279,16 +279,6 @@ def ceil_mul(q: int, theta: ExactReal) -> int:
     return _from_squarefree(theta.a * q, theta.b * q, theta.c, theta.d).ceil()
 
 
-def cmp_ceil_fractions(q: int, qp: int, theta: ExactReal) -> int:
-    """Exact three-way comparison of ceil(q theta)/q with ceil(qp theta)/qp.
-
-    Returns -1, 0 or 1.  Decided by cross-multiplication in integers.
-    """
-    lhs = ceil_mul(q, theta) * qp
-    rhs = ceil_mul(qp, theta) * q
-    return (lhs > rhs) - (lhs < rhs)
-
-
 # -- text syntax ------------------------------------------------------------
 #
 # Grammar used across the CLI and the JSON documents:

@@ -31,7 +31,12 @@ be recovered.  The certificate is built when it is first read.  A Feasible
 verdict expresses every symbol over the free ones and lists integrality
 notes such as "3P/2 integral".  `decide` settles a disjunction of systems
 (the scenarios of a transition pair or chain, the disjuncts of a fixture
-case), which is infeasible only when every system is.
+case), which is infeasible only when every system is.  Its systems share the
+elimination of common relation prefixes, and the rule stage (the facts, the
+zero and sign checks, Fourier-Motzkin and the sample) runs once per distinct
+system after elimination: its outcome is a function of the symbols, the
+pivot rows, which form the unique reduced row echelon form of the row space
+under the fixed elimination order, and the inequalities and disequalities.
 
 Elimination runs on the integer rows of linear.Eliminator (numerators over
 one positive denominator per row).  The zero checks behind the rules are
@@ -325,24 +330,19 @@ def _forced_nonpositive(system, facts: Callable[[], list[Inequality]],
     return not fm_solve(ineqs, variables).feasible
 
 
-def _eliminate(relations: list[Relation], order: list[str],
-               prefixes: dict) -> Eliminator:
-    """The eliminator over `order` after adding `relations` in turn.
+def _eliminate(relations: list[Relation], root: tuple) -> Eliminator:
+    """The eliminator of `root` after adding `relations` in turn.
 
-    `prefixes` is a trie of the relation prefixes eliminated so far: it maps
-    an elimination order to its root node, and a node is a triple
-    (eliminator, children, relation) whose children are keyed by the identity
-    of the next relation.  A prefix already in the trie is not eliminated
-    again; a new one copies its parent's eliminator and adds one relation.
-    The walk stops at the first inconsistent prefix, because later adds never
-    change `inconsistent` and a caller reads nothing else then.  Each node
-    holds its relation, so an identity key cannot be reused while the trie
-    lives.
+    `root` is the root of a trie of the relation prefixes eliminated so far.
+    A node is a triple (eliminator, children, relation) whose children are
+    keyed by the identity of the next relation.  A prefix already in the trie
+    is not eliminated again; a new one copies its parent's eliminator and
+    adds one relation.  The walk stops at the first inconsistent prefix,
+    because later adds never change `inconsistent` and a caller reads nothing
+    else then.  Each node holds its relation, so an identity key cannot be
+    reused while the trie lives.
     """
-    key = tuple(order)
-    node = prefixes.get(key)
-    if node is None:
-        node = prefixes[key] = (Eliminator(order), {}, None)
+    node = root
     for r in relations:
         elim, children, _ = node
         if elim.inconsistent is not None:
@@ -354,6 +354,10 @@ def _eliminate(relations: list[Relation], order: list[str],
             node = children[id(r)] = (elim, {}, r)
     return node[0]
 
+
+# the rules decided on the feasible region by Fourier-Motzkin; their
+# certificates name the region's constraint, not a combination of relations
+_REGION_RULES = ("incompatible_inequalities", "forced_disequality")
 
 # the zero rule and the nonpositive rule of each symbol kind
 _SIGN_RULES = {
@@ -392,7 +396,25 @@ def _certificate(rule: str, expr: LinExpr, human: Callable[[], str],
                        human())
 
 
-def solve(system: RelationSystem, prefixes: dict | None = None) -> Verdict:
+def _reduced_key(system: RelationSystem, elim: Eliminator) -> tuple:
+    """The system after elimination, as the memo key of `solve`: its symbol
+    names and symbols, its pivot rows, and its inequalities and
+    disequalities.
+
+    The pivot rows are a reduced row echelon form under the system's fixed
+    elimination order, which is unique, so two systems whose relations span
+    one row space get equal rows, compared as rationals (`Row.expr_key`),
+    whatever their labels and order.  Their key order can differ, but no
+    outcome of `_rule_stage` reads it: a Fourier-Motzkin contradiction is a
+    constant row.  Symbols, inequalities and disequalities are keyed by
+    identity, as the scenarios of one disjunction share them; `solve` keeps
+    them alive beside each memo entry, so an identity cannot be reused."""
+    return (tuple(system.symbols), tuple(map(id, system.symbols.values())),
+            tuple(elim.pivots[p].expr_key() for p in elim.order if p in elim.pivots),
+            tuple(map(id, system.inequalities)), tuple(map(id, system.disequalities)))
+
+
+def solve(system: RelationSystem, shared: dict | None = None) -> Verdict:
     """Decide the eps->0 limit of the system exactly.
 
     Every side-constraint rule that fires is detected, and the verdict is the
@@ -403,22 +425,61 @@ def solve(system: RelationSystem, prefixes: dict | None = None) -> Verdict:
     is first read, from the eliminator and the relations as they were when
     the system was solved.
 
-    Systems solved with one `prefixes` dict share the elimination of their
-    common relation prefixes (see `_eliminate`); their relations must not be
-    mutated while it is in use.  Without it the system is eliminated alone.
+    Systems solved with one `shared` dict share work.  It maps an elimination
+    order to the root of a trie of the relation prefixes eliminated so far
+    (see `_eliminate`), so a common prefix is eliminated once, and to a memo
+    of what `_rule_stage` decided, keyed by the system after elimination
+    (see `_reduced_key`).  A system whose key is in the memo skips the rule
+    stage; its verdict's certificate, solution and notes are still built from
+    its own eliminator and relations, so its combination names its own
+    labels.  The relations of the systems must not be mutated while the dict
+    is in use.  Without it the system is solved alone.
     """
     system.validate()
     order = _elimination_order(system.symbols)
-    elim = _eliminate(system.relations, order, {} if prefixes is None else prefixes)
+    if shared is None:
+        shared = {}
+    state = shared.get(order_key := tuple(order))
+    if state is None:
+        state = shared[order_key] = ((Eliminator(order), {}, None), {})
+    root, memo = state
+    elim = _eliminate(system.relations, root)
+    relations = tuple(system.relations)
 
     if elim.inconsistent is not None:
         row = elim.inconsistent
-        relations = tuple(system.relations)
         return Infeasible("contradictory_equations", lambda: Certificate(
             "contradictory_equations", row.expr, row.combo,
             _eps_bound(row.combo, relations),
             f"relations force {expr_str(row.expr)} = 0"))
 
+    key = _reduced_key(system, elim)
+    entry = memo.get(key)
+    if entry is None:
+        held = (tuple(system.symbols.values()), tuple(system.inequalities),
+                tuple(system.disequalities))
+        entry = memo[key] = (_rule_stage(system, order, elim), held)
+    rule, value, human = entry[0]  # value: the fired expression or the sample
+    if rule is None:
+        solution = {s: elim.solution_expr(s) for s in order if s in elim.pivots}
+        return Feasible(
+            solution=solution,
+            free=[s for s in order if s not in elim.pivots],
+            notes=_integrality_notes(system, solution),
+            sample=dict(value),
+        )
+    if rule in _REGION_RULES:
+        return Infeasible(rule, lambda: Certificate(
+            rule, {k: Fraction(v) for k, v in value.items()}, {}, None, human()))
+    return Infeasible(rule, lambda: _certificate(rule, value, human, elim,
+                                                 relations))
+
+
+def _rule_stage(system: RelationSystem, order: list[str],
+                elim: Eliminator) -> tuple:
+    """What `solve` decides after a consistent elimination, as a function of
+    `_reduced_key` alone: (rule, fired expression, text builder) of an
+    Infeasible verdict, or (None, sample, None) of a Feasible one."""
     variables = [s for s in order if s not in elim.pivots]
     facts = []  # (coeffs, rule, reduced coeffs, escape inequalities), unforced
     escapes = []  # the escape inequalities of forced facts, for the FM stage
@@ -477,10 +538,7 @@ def solve(system: RelationSystem, prefixes: dict | None = None) -> Verdict:
                   "successor_not_greater", f"{name} - {s.base}")
 
     if best is not None:
-        _, rule, expr, human = best
-        relations = tuple(system.relations)
-        return Infeasible(rule, lambda: _certificate(rule, expr, human, elim,
-                                                     relations))
+        return best[1:]
 
     ineqs = side_constraints() + escapes
     res = fm_solve(ineqs, variables)
@@ -489,9 +547,7 @@ def solve(system: RelationSystem, prefixes: dict | None = None) -> Verdict:
         human = "side constraints admit no solution"
         if c.label:
             human += f" (from {c.label})"
-        return Infeasible("incompatible_inequalities", lambda: Certificate(
-            "incompatible_inequalities",
-            {k: Fraction(v) for k, v in c.coeffs.items()}, {}, None, human))
+        return "incompatible_inequalities", c.coeffs, lambda: human
 
     sample = res.sample
     if any(_eval(num, sample) == 0 for _, _, num, _ in facts):
@@ -507,19 +563,10 @@ def solve(system: RelationSystem, prefixes: dict | None = None) -> Verdict:
                     fm_solve(ineqs + [Inequality(side, strict=True)],
                              variables).feasible
                     for side in (num, {k: -v for k, v in num.items()})))
-            return Infeasible("forced_disequality", lambda: Certificate(
-                "forced_disequality", {k: Fraction(v) for k, v in coeffs.items()},
-                {}, None,
+            return "forced_disequality", coeffs, lambda: (
                 f"{expr_str(coeffs)} = 0 on the whole feasible region "
-                f"(rule {rule})"))
-
-    solution = {s: elim.solution_expr(s) for s in order if s in elim.pivots}
-    return Feasible(
-        solution=solution,
-        free=variables,
-        notes=_integrality_notes(system, solution),
-        sample=sample,
-    )
+                f"(rule {rule})")
+    return None, sample, None
 
 
 def decide(systems: list[RelationSystem]) -> Verdict:
@@ -527,12 +574,16 @@ def decide(systems: list[RelationSystem]) -> Verdict:
     system is: the first Feasible verdict, else the Infeasible one whose rule
     ranks first (ties go to the earlier system).
 
-    The systems are solved through one prefix trie, so relation objects they
-    share, such as a common base, are eliminated once (see `solve`)."""
-    prefixes: dict = {}
+    The systems are solved through one shared dict (see `solve`), so relation
+    objects they share, such as a common base, are eliminated once, and the
+    rule stage runs once per distinct system after elimination.  The verdict
+    returned is never one whose rule stage was skipped: a skipped system
+    repeats the outcome of an earlier one, so it is not the first Feasible
+    system and it loses a tie of rank to that earlier one."""
+    shared: dict = {}
     infeasible = []
     for system in systems:
-        v = solve(system, prefixes)
+        v = solve(system, shared)
         if v.feasible:
             return v
         infeasible.append(v)

@@ -127,6 +127,14 @@ class Row:
         row.num, row.combo_num, row.den = num, combo_num, den
         return row
 
+    def expr_key(self) -> tuple:
+        """The expression alone as a hashable (den, frozenset of (key, num)).
+        `_normalised` divides by a gcd that includes the combination, so two
+        rows with one rational expression may store it differently; their
+        keys are equal."""
+        g = gcd(self.den, *self.num.values())
+        return self.den // g, frozenset((k, v // g) for k, v in self.num.items())
+
     @property
     def expr(self) -> LinExpr:
         return {k: Fraction(v, self.den) for k, v in self.num.items()}

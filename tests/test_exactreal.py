@@ -16,7 +16,6 @@ from echkit.exactreal import (
     _from_squarefree,
     _sign,
     ceil_mul,
-    cmp_ceil_fractions,
     floor_mul,
     parse_real,
 )
@@ -195,17 +194,6 @@ class TestSign:
            st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13]))
     def test_matches_mpmath(self, a, b, d):
         assert _sign(a, b, d) == _mp_sign(a, b, d)
-
-
-class TestCmpCeilFractions:
-    def test_less(self):
-        assert cmp_ceil_fractions(2, 1, SQRT2M1) == -1
-
-    def test_equal_same_denominator(self):
-        assert cmp_ceil_fractions(5, 5, SQRT2M1) == 0
-
-    def test_greater(self):
-        assert cmp_ceil_fractions(3, 2, SQRT2M1) == 1
 
 
 class TestParser:

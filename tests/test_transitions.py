@@ -1,6 +1,8 @@
 """Transition models, pair compatibility tables, chains, and the grid map."""
 
+import gc
 import hashlib
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -9,8 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echkit import feasibility, fixtures, linear, transitions
-from echkit.feasibility import decide, rule_rank, solve
-from echkit.linear import lin, scale_expr, sub_expr
+from echkit.feasibility import (
+    MEMBER,
+    SUCCESSOR,
+    Inequality,
+    Relation,
+    RelationSystem,
+    Sym,
+    decide,
+    rule_rank,
+    solve,
+)
+from echkit.linear import CONST, lin, scale_expr, sub_expr
 from echkit.transitions import (
     ALLOWED_PAIRS,
     EXCLUDED_PAIRS,
@@ -255,11 +267,13 @@ class TestScenarioSystems:
         until a pair turns feasible (2,650 when every opposite-set view pair
         split into a "distinct" and a "both gaps 1" branch), each shared
         relation prefix eliminated once per pair (21,538 adds when every
-        system was eliminated alone), one certificate per excluded pair,
-        built when the table reads it (2,638 when every infeasible scenario
-        built its own), with its text (1,853 texts when each fired rule
-        built one), and one Fourier-Motzkin call per member-order,
-        side-constraint or escape question the elimination leaves open."""
+        system was eliminated alone), one rule stage per distinct system
+        after elimination in a pair (one per solve, 1,874, before the stage
+        was memoised), one certificate per excluded pair, built when the
+        table reads it (2,638 when every infeasible scenario built its own),
+        with its text (1,853 texts when each fired rule built one), and one
+        Fourier-Motzkin call per member-order, side-constraint or escape
+        question a rule stage leaves open (364 with a stage per solve)."""
         counts = Counter()
 
         def counted(name, fn):
@@ -271,6 +285,8 @@ class TestScenarioSystems:
         monkeypatch.setattr(linear.Eliminator, "add",
                             counted("add", linear.Eliminator.add))
         monkeypatch.setattr(feasibility, "solve", counted("solve", feasibility.solve))
+        monkeypatch.setattr(feasibility, "_rule_stage",
+                            counted("stage", feasibility._rule_stage))
         monkeypatch.setattr(feasibility, "Certificate",
                             counted("certificate", feasibility.Certificate))
         monkeypatch.setattr(feasibility, "fm_solve",
@@ -278,13 +294,13 @@ class TestScenarioSystems:
         monkeypatch.setattr(feasibility, "expr_str",
                             counted("expr_str", feasibility.expr_str))
         report = pair_report()
+        work = {"solve": 1874, "add": 2278, "stage": 220, "fm_solve": 308}
         # no rule's text is built before its certificate is read
-        assert counts == {"solve": 1874, "add": 2278, "fm_solve": 364}
+        assert counts == work
         for v in report.verdicts.values():
             if not v.feasible:
                 assert v.certificate is v.certificate
-        assert counts == {"solve": 1874, "add": 2278, "fm_solve": 364,
-                          "expr_str": 24, "certificate": 24}
+        assert counts == {**work, "expr_str": 24, "certificate": 24}
 
     @pytest.mark.parametrize("triple", DIGEST_CHAINS)
     def test_chain_certificates_replay(self, triple):
@@ -314,6 +330,96 @@ class TestScenarioSystems:
                  for l, c in cert.combo.items()), Fraction(0)), system.label
             replayed += 1
         assert replayed > 0
+
+
+def opposite_members() -> dict:
+    """Members P (set p) and Q (set q) with their successors, and an action D."""
+    return {
+        "P": Sym("P", MEMBER, set_tag="p", integer=True),
+        "P_next": Sym("P_next", SUCCESSOR, base="P", integer=True),
+        "Q": Sym("Q", MEMBER, set_tag="q", integer=True),
+        "Q_next": Sym("Q_next", SUCCESSOR, base="Q", integer=True),
+        "D": Sym("D", "action"),
+    }
+
+
+# the two gaps are equal (GAPS) and D = P + Q (SUM); GAP_P_AT_LEAST_2 leaves
+# the equal gaps no escape to 1, so the opposite-set law fires on them, while
+# under GAP_P_AT_MOST_1 the system is feasible with both gaps 1
+GAPS = {"P_next": 1, "P": -1, "Q_next": -1, "Q": 1}
+SUM = {"D": 1, "P": -1, "Q": -1}
+GAP_P_AT_LEAST_2 = {"P_next": 1, "P": -1, CONST: -2}
+GAP_P_AT_MOST_1 = {"P_next": -1, "P": 1, CONST: 1}
+
+
+class TestSharedRuleStage:
+    """`solve` runs its rule stage once per distinct system after elimination
+    among the systems that share one dict; a repeat reuses the outcome but
+    builds its verdict from its own eliminator and relations."""
+
+    def relabelled(self):
+        """Four systems over one row space with relations relabelled,
+        reordered and rescaled.  The first pins P = Q by two inequalities, so
+        P - Q vanishes on its whole region; the rest share one inequality,
+        under which the equal gaps are a cross_set contradiction."""
+        symbols = opposite_members()
+        apart = [Inequality(lin({"P": 1, "Q": -1})), Inequality(lin({"Q": 1, "P": -1}))]
+        at_least_2 = [Inequality(lin(GAP_P_AT_LEAST_2), label="gP>=2")]
+        both = sub_expr(lin(GAPS), lin(SUM))
+        relation_lists = [
+            ([Relation(lin(GAPS), "a1"), Relation(lin(SUM), "a2")], apart),
+            ([Relation(lin(SUM), "b1"), Relation(lin(GAPS), "b2")], at_least_2),
+            ([Relation(scale_expr(lin(SUM), 2), "c1"), Relation(both, "c2")],
+             at_least_2),
+            ([Relation(both, "d1"), Relation(scale_expr(lin(GAPS), 3), "d2")],
+             at_least_2),
+        ]
+        return [RelationSystem(symbols, rels, ineqs, label=str(i))
+                for i, (rels, ineqs) in enumerate(relation_lists)]
+
+    def test_disjunction_keeps_the_earliest_system_and_its_labels(self, monkeypatch):
+        systems = self.relabelled()
+        stages = []
+        rule_stage = feasibility._rule_stage
+        monkeypatch.setattr(feasibility, "_rule_stage",
+                            lambda *args: stages.append(args) or rule_stage(*args))
+        v = decide(systems)
+        assert len(stages) == 2  # the last two repeat the second
+        assert v.certificate.rule == "cross_set"
+        assert set(v.certificate.combo) == {"b2"}
+        assert verdict_fields(v) == verdict_fields(solve(systems[1]))
+
+    def test_each_system_decides_as_alone(self):
+        systems = self.relabelled()
+        shared: dict = {}
+        got = [verdict_fields(solve(s, shared)) for s in systems]
+        assert got == [verdict_fields(solve(s)) for s in systems]
+        assert got[0][0] == "forced_disequality"
+        assert [dict(g[2]) for g in got[1:]] == [
+            {"b2": 1}, {"c2": 1, "c1": Fraction(1, 2)}, {"d2": Fraction(1, 3)}]
+
+    def test_reused_dict_has_no_stale_outcome(self):
+        """A dict outlives the systems solved through it.  It keeps alive
+        every object its keys name by identity, so no new object can take
+        such an identity, and a system that differs only in its inequality
+        is still solved for itself."""
+        symbols = opposite_members()
+
+        def equal_gaps(inequality: dict) -> RelationSystem:
+            return RelationSystem(symbols, [Relation(lin(GAPS), "g")],
+                                  [Inequality(lin(inequality), label="side")])
+
+        shared: dict = {}
+        dropped = equal_gaps(GAP_P_AT_MOST_1)
+        assert solve(dropped, shared).feasible
+        side = weakref.ref(dropped.inequalities[0])
+        del dropped
+        gc.collect()
+        assert side() is not None
+        system = equal_gaps(GAP_P_AT_LEAST_2)
+        v = solve(system, shared)
+        assert verdict_fields(v) == verdict_fields(solve(system))
+        assert v.certificate.rule == "cross_set"
 
 
 class TestChains:
