@@ -8,12 +8,13 @@ change) and in `--parent`, a checkout of the commit before it, one after the
 other in pairs, ten by default (`--pairs spectrum=3` sets one workload's
 count); the side that runs first alternates.  Every workload runs on every
 `--seed`, except `tables`, whose fixed commands take nothing from it and run
-on the first seed only.  One traced run per side, workload and seed then gives the exact
-counters.  The file written to the root of this checkout holds, per workload
-and seed ("tables/31337") and per side, every run's gated metrics and the wall
-time of the whole run, their medians and quartiles, how many pairs the change
-won on each metric, and the counter totals, with the Python version, the CPU
-count and each side's commit.  Runs are sequential and each uses one process.
+on the first seed only.  One traced run per side, workload and seed then
+gives the exact counters.  The file written to the root of this checkout
+holds, per workload and seed ("tables/31337") and per side, every run's gated
+metrics and the wall time of the whole run, their medians and quartiles, how
+many pairs the change won on each metric, and the counter totals, with the
+Python version, the CPU count and each side's commit.  Runs are sequential
+and each uses one process.
 """
 
 from __future__ import annotations

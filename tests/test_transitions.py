@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from echkit import feasibility, fixtures, linear, transitions
 from echkit.feasibility import (
+    ACTION,
     MEMBER,
     SUCCESSOR,
     Inequality,
@@ -339,7 +340,7 @@ def opposite_members() -> dict:
         "P_next": Sym("P_next", SUCCESSOR, base="P", integer=True),
         "Q": Sym("Q", MEMBER, set_tag="q", integer=True),
         "Q_next": Sym("Q_next", SUCCESSOR, base="Q", integer=True),
-        "D": Sym("D", "action"),
+        "D": Sym("D", ACTION),
     }
 
 
