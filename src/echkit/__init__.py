@@ -51,10 +51,8 @@ from .ellipsoid import (
     density_report,
     gen_index,
     lattice_count,
-    volume_ratio,
 )
 from .feasibility import (
-    Disequality,
     Feasible,
     Inequality,
     Infeasible,

@@ -19,6 +19,7 @@ from . import transitions as trans_mod
 from .ellipsoid import (
     Ellipsoid,
     capacities,
+    capacity,
     density_report,
     lattice_count,
 )
@@ -167,12 +168,11 @@ def cmd_ellipsoid_caps(args) -> int:
 
 
 def cmd_ellipsoid_volume(args) -> int:
-    # volume_ratio's check: that function would build the capacities again
+    # capacity(k)^2 / (2k) approaches a*b as k grows; k = 0 has no ratio
     if args.k < 1:
         raise ValueError("k must be positive")
     e = Ellipsoid(parse_real(args.a), parse_real(args.b))
-    caps = capacities(e, args.k)
-    ck = float(caps[args.k])
+    ck = float(capacity(e, args.k))
     ratio = ck * ck / (2 * args.k)
     target = float(e.a * e.b)
     _emit(

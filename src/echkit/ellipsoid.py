@@ -112,14 +112,6 @@ def gen_index(e: Ellipsoid, g: Generator) -> int:
     return 2 * lattice_count(e.a, e.b, e.a * g.m + e.b * g.n)
 
 
-def volume_ratio(e: Ellipsoid, k: int) -> float:
-    """capacity(k)^2 / (2k); approaches a*b as k grows."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    c = float(capacity(e, k))
-    return c * c / (2 * k)
-
-
 def lattice_count(s1, s2, t) -> int:
     """#{(t1, t2) in Z>=0^2 : t1*s1 + t2*s2 < t}; 0 when t <= 0."""
     s1, s2, t = _as_exact(s1), _as_exact(s2), _as_exact(t)

@@ -316,6 +316,8 @@ class _Parser:
             op = self.text[self.pos]
             self.pos += 1
             f = self.factor()
+            if op == "/" and f == 0:
+                self.error("division by zero")
             v = v * f if op == "*" else v / f
         return v
 

@@ -1,15 +1,15 @@
 """Exact decision engine for systems of approximate linear relations.
 
-Every input relation states |expression| < k*eps for a tolerance multiple k.
-All target quantities are separated points of a discrete grid (integer
-multiples of a fixed action unit, or small fractions of them), so for every
-sufficiently small eps > 0 the relation forces the exact equation
-expression = 0.  The engine therefore eliminates exactly over the rationals
-and then checks the side constraints the symbols carry:
+Every input relation states |expression| < eps.  All target quantities are
+separated points of a discrete grid (integer multiples of a fixed action
+unit, or small fractions of them), so for every sufficiently small eps > 0
+the relation forces the exact equation expression = 0.  The engine therefore
+eliminates exactly over the rationals and then checks the side constraints
+that follow from each symbol's kind:
 
-  * action symbols are strictly positive;
-  * an s_member symbol P is a positive integer (> 1 where flagged);
-  * its successor P' satisfies P' > P;
+  * an action is strictly positive and a count is an integer >= 1;
+  * an s_member P is an integer >= 2, and its successor P' an integer
+    >= P + 1;
   * the opposite-set law: S(theta) and S(-theta) meet only at 1, and the
     successor gaps of each set lie in the other.
 
@@ -18,25 +18,25 @@ base member's set and the gap P' - P to the opposite one, so every two
 quantities in opposite sets differ unless both are 1: a member and its own
 gap (rule "gap_equals_member"), and across two members their bases and
 successors, or their two gaps when the members sit in opposite sets (rule
-"cross_set").  A successor, or a member flagged > 1, exceeds 1 and closes
-the escape, so of these only the gap-gap fact keeps it.  A fact the
-relations force fires only when the side constraints leave no room for its
-escape; otherwise the escape's equations join the Fourier-Motzkin stage, and
-the sampler tries the escape beside the two strict sides of the fact.
+"cross_set").  Members and successors exceed 1, so of these only the gap-gap
+fact keeps the escape "both are 1".  A fact the relations force fires only
+when the side constraints leave no room for its escape; otherwise the
+escape's equations join the Fourier-Motzkin stage, and the sampler tries the
+escape beside the two strict sides of the fact.
 
 An Infeasible verdict carries a certificate: the forced equation, the exact
 combination of input relations that produces it (so it can be replayed), and
-the accumulated tolerance multiple, from which an explicit eps threshold can
-be recovered.  The certificate is built when it is first read.  A Feasible
-verdict expresses every symbol over the free ones and lists integrality
-notes such as "3P/2 integral".  `decide` settles a disjunction of systems
-(the scenarios of a transition pair or chain, the disjuncts of a fixture
-case), which is infeasible only when every system is.  Its systems share the
-elimination of common relation prefixes, and the rule stage (the facts, the
-zero and sign checks, Fourier-Motzkin and the sample) runs once per distinct
-system after elimination: its outcome is a function of the symbols, the
-pivot rows, which form the unique reduced row echelon form of the row space
-under the fixed elimination order, and the inequalities and disequalities.
+the tolerance multiple sum |c| over that combination, from which an explicit
+eps threshold can be recovered.  The certificate is built when it is first
+read.  A Feasible verdict expresses every symbol over the free ones and lists
+integrality notes such as "3P/2 integral".  `decide` settles a disjunction
+of systems (the scenarios of a transition pair or chain, the disjuncts of a
+fixture case), which is infeasible only when every system is.  Its systems
+share the elimination of common relation prefixes, and the rule stage (the
+facts, the zero and sign checks, Fourier-Motzkin and the sample) runs once
+per distinct system after elimination: its outcome is a function of the
+symbols, the pivot rows, which form the unique reduced row echelon form of
+the row space under the fixed elimination order, and the inequalities.
 
 Elimination runs on the integer rows of linear.Eliminator (numerators over
 one positive denominator per row).  The zero checks behind the rules are
@@ -80,8 +80,6 @@ class Sym:
     kind: str  # ACTION | MEMBER | SUCCESSOR | COUNT
     set_tag: str | None = None  # "p" / "q": a member's approximation set
     base: str | None = None  # for SUCCESSOR: the member it follows
-    greater_than_one: bool = True  # members: strictly above 1
-    integer: bool = False  # sharpen strict orderings to gaps of one
 
     def __post_init__(self):
         if self.kind not in _KIND_RANK:
@@ -89,14 +87,18 @@ class Sym:
         if self.kind == SUCCESSOR and not self.base:
             raise ValueError("successor symbol needs a base member")
 
+    @property
+    def integer(self) -> bool:
+        """Members, successors and counts are integers; actions are not."""
+        return self.kind != ACTION
+
 
 @dataclass(frozen=True)
 class Relation:
-    """|coeffs . syms| < eps_multiple * eps, read as an exact equation."""
+    """|coeffs . syms| < eps, read as an exact equation."""
 
     coeffs: LinExpr
     label: str
-    eps_multiple: Fraction = Fraction(1)
 
     def __post_init__(self):
         # a zero term must never reach the eliminator, which could pick it
@@ -108,25 +110,17 @@ class Relation:
             raise ValueError("relation needs at least one nonzero coefficient")
 
 
-@dataclass(frozen=True)
-class Disequality:
-    coeffs: LinExpr  # coeffs . syms != 0
-    rule: str
-    label: str = ""
-
-
 @dataclass
 class RelationSystem:
     symbols: dict[str, Sym]
     relations: list[Relation]
     inequalities: list[Inequality] = field(default_factory=list)
-    disequalities: list[Disequality] = field(default_factory=list)
     label: str = ""
 
     def validate(self):
         """Raise ValueError naming the first item at fault: a successor whose
-        base is not a declared member, a relation, inequality or disequality
-        over an undeclared symbol, or a repeated relation label."""
+        base is not a declared member, a relation or inequality over an
+        undeclared symbol, or a repeated relation label."""
         for s in self.symbols.values():
             if s.kind == SUCCESSOR and (s.base not in self.symbols
                                         or self.symbols[s.base].kind != MEMBER):
@@ -134,8 +128,7 @@ class RelationSystem:
                                  f"which is not a declared {MEMBER}")
         known = set(self.symbols) | {CONST}
         for kind, items in (("relation", self.relations),
-                            ("inequality", self.inequalities),
-                            ("disequality", self.disequalities)):
+                            ("inequality", self.inequalities)):
             for item in items:
                 if not known.issuperset(item.coeffs):
                     raise ValueError(f"{kind} {item.label or expr_str(item.coeffs)}"
@@ -155,7 +148,7 @@ class Certificate:
 
     `equation` lies in the row space of the input relations; `combo` is the
     rational combination that produces it, and `eps_bound` the matching
-    tolerance multiple (the derived |equation| < eps_bound * eps).
+    tolerance multiple sum |c| (the derived |equation| < eps_bound * eps).
     """
 
     rule: str
@@ -237,69 +230,52 @@ def _elimination_order(symbols: dict[str, Sym]) -> list[str]:
 
 
 def _auto_inequalities(system: RelationSystem) -> list[Inequality]:
+    """The side constraint of each symbol's kind, then the system's own."""
     out = []
     for name, s in system.symbols.items():
         if s.kind == ACTION:
             out.append(Inequality(lin({name: 1}), strict=True, label=f"{name}>0"))
         elif s.kind == MEMBER:
-            if s.greater_than_one and s.integer:
-                out.append(Inequality(lin({name: 1, CONST: -2}), label=f"{name}>=2"))
-            elif s.greater_than_one:
-                out.append(Inequality(lin({name: 1, CONST: -1}), strict=True,
-                                      label=f"{name}>1"))
-            else:
-                out.append(Inequality(lin({name: 1}), strict=True, label=f"{name}>0"))
+            out.append(Inequality(lin({name: 1, CONST: -2}), label=f"{name}>=2"))
         elif s.kind == SUCCESSOR:
-            if s.integer:
-                out.append(Inequality(lin({name: 1, s.base: -1, CONST: -1}),
-                                      label=f"{name}>={s.base}+1"))
-            else:
-                out.append(Inequality(lin({name: 1, s.base: -1}), strict=True,
-                                      label=f"{name}>{s.base}"))
-        elif s.kind == COUNT:
-            if s.integer:
-                out.append(Inequality(lin({name: 1, CONST: -1}), label=f"{name}>=1"))
-            else:
-                out.append(Inequality(lin({name: 1}), strict=True, label=f"{name}>0"))
+            out.append(Inequality(lin({name: 1, s.base: -1, CONST: -1}),
+                                  label=f"{name}>={s.base}+1"))
+        else:  # COUNT
+            out.append(Inequality(lin({name: 1, CONST: -1}), label=f"{name}>=1"))
     out.extend(system.inequalities)
     return out
 
 
 def _facts(system: RelationSystem) -> list[tuple]:
-    """The disequalities to check, as (coeffs, rule, escape) in order: the
-    user's, then the opposite-set law per pair of members in symbol order,
-    then each member against its own gap.
+    """The opposite-set law as (coeffs, rule, escape) in order: per pair of
+    members in symbol order, then each member against its own gap.
 
-    A law fact is x - y != 0 for quantities x, y in opposite sets; its escape
-    is (x - 1, y - 1), both zero, or None when a side exceeds 1."""
-    out = [(d.coeffs, d.rule, None) for d in system.disequalities]
+    A fact is x - y != 0 for quantities x, y in opposite sets.  Members and
+    successors exceed 1, so only two gaps can both be 1: the gap-gap fact's
+    escape is (x - 1, y - 1), both zero, and every other fact's is None."""
     succ = {s.base: n for n, s in system.symbols.items() if s.kind == SUCCESSOR}
-    # per member: its set tag, then the member, its successor and its gap as
-    # (integer expression, known to exceed 1), or None without a successor
+    # per member: its set tag, then the member, its successor and its gap,
+    # the last two None without a successor
     members = []
     for name, s in system.symbols.items():
         if s.kind == MEMBER:
             n = succ.get(name)
-            members.append((s.set_tag, ({name: 1}, s.greater_than_one),
-                            n and ({n: 1}, True), n and ({n: 1, name: -1}, False)))
-
-    def fact(x, y, rule):
-        escape = None if x[1] or y[1] else ({**x[0], CONST: -1}, {**y[0], CONST: -1})
-        out.append((sub_expr(x[0], y[0]), rule, escape))
-
+            members.append((s.set_tag, {name: 1},
+                            n and {n: 1}, n and {n: 1, name: -1}))
+    out = []
     for (tag1, b1, n1, g1), (tag2, b2, n2, g2) in itertools.combinations(members, 2):
         if tag1 is None or tag2 is None:
             continue
         if tag1 == tag2:
             pairs = [(g1, b2), (g1, n2), (g2, b1), (g2, n1)]
         else:
-            pairs = [(b1, b2), (b1, n2), (n1, b2), (n1, n2), (g1, g2)]
-        for x, y in pairs:
-            if x and y:
-                fact(x, y, "cross_set")
-    for _, b, _, g in members:
-        if g:
-            fact(g, b, "gap_equals_member")
+            pairs = [(b1, b2), (b1, n2), (n1, b2), (n1, n2)]
+        out += [(sub_expr(x, y), "cross_set", None) for x, y in pairs if x and y]
+        if tag1 != tag2 and g1 and g2:
+            out.append((sub_expr(g1, g2), "cross_set",
+                        ({**g1, CONST: -1}, {**g2, CONST: -1})))
+    out += [(sub_expr(g, b), "gap_equals_member", None)
+            for _, b, _, g in members if g]
     return out
 
 
@@ -308,8 +284,8 @@ def _member_facts(system: RelationSystem, elim: Eliminator) -> list[Inequality]:
     facts = []
     for name, s in system.symbols.items():
         if s.kind == MEMBER:
-            low = {name: 1, CONST: -1} if s.greater_than_one else {name: 1}
-            facts.append(Inequality(elim.reduce(low).num, strict=True))
+            facts.append(Inequality(elim.reduce({name: 1, CONST: -1}).num,
+                                    strict=True))
         elif s.kind == SUCCESSOR:
             facts.append(Inequality(elim.reduce({name: 1, s.base: -1}).num,
                                     strict=True))
@@ -368,11 +344,10 @@ _SIGN_RULES = {
 }
 
 
-def _eps_bound(combo: dict, relations: tuple[Relation, ...]) -> Fraction:
-    """Sum of |c| * k over the combination: the derived equation holds up to
-    that multiple of eps."""
-    eps_of = {r.label: r.eps_multiple for r in relations}
-    return sum((abs(c) * eps_of[l] for l, c in combo.items()), Fraction(0))
+def _eps_bound(combo: dict) -> Fraction:
+    """Sum of |c| over the combination: each relation holds up to eps, so the
+    derived equation holds up to that multiple of eps."""
+    return sum((abs(c) for c in combo.values()), Fraction(0))
 
 
 def _escape_inequalities(elim: Eliminator, escape: tuple) -> list[Inequality]:
@@ -385,33 +360,31 @@ def _escape_inequalities(elim: Eliminator, escape: tuple) -> list[Inequality]:
 
 
 def _certificate(rule: str, expr: LinExpr, human: Callable[[], str],
-                 elim: Eliminator, relations: tuple[Relation, ...]) -> Certificate:
+                 elim: Eliminator) -> Certificate:
     """The certificate of a side-constraint rule fired on expr: the part of
     expr that the relations force, with its combination and eps bound, and
     the text that human() builds."""
     row = elim.reduce_row(Row(expr))
     combo = {k: Fraction(-v, row.den) for k, v in row.combo_num.items()}
     equation = sub_expr({k: Fraction(v) for k, v in expr.items()}, row.expr)
-    return Certificate(rule, equation, combo, _eps_bound(combo, relations),
-                       human())
+    return Certificate(rule, equation, combo, _eps_bound(combo), human())
 
 
 def _reduced_key(system: RelationSystem, elim: Eliminator) -> tuple:
     """The system after elimination, as the memo key of `solve`: its symbol
-    names and symbols, its pivot rows, and its inequalities and
-    disequalities.
+    names and symbols, its pivot rows, and its inequalities.
 
     The pivot rows are a reduced row echelon form under the system's fixed
     elimination order, which is unique, so two systems whose relations span
     one row space get equal rows, compared as rationals (`Row.expr_key`),
     whatever their labels and order.  Their key order can differ, but no
     outcome of `_rule_stage` reads it: a Fourier-Motzkin contradiction is a
-    constant row.  Symbols, inequalities and disequalities are keyed by
-    identity, as the scenarios of one disjunction share them; `solve` keeps
-    them alive beside each memo entry, so an identity cannot be reused."""
+    constant row.  Symbols and inequalities are keyed by identity, as the
+    scenarios of one disjunction share them; `solve` keeps them alive beside
+    each memo entry, so an identity cannot be reused."""
     return (tuple(system.symbols), tuple(map(id, system.symbols.values())),
             tuple(elim.pivots[p].expr_key() for p in elim.order if p in elim.pivots),
-            tuple(map(id, system.inequalities)), tuple(map(id, system.disequalities)))
+            tuple(map(id, system.inequalities)))
 
 
 def solve(system: RelationSystem, shared: dict | None = None) -> Verdict:
@@ -422,8 +395,7 @@ def solve(system: RelationSystem, shared: dict | None = None) -> Verdict:
     Zero checks are decided on the eliminator's integer rows; a check that
     could not beat the rule already found is skipped.  The certificate, with
     its combination and eps bound, is built when the verdict's `certificate`
-    is first read, from the eliminator and the relations as they were when
-    the system was solved.
+    is first read, from the eliminator as it was when the system was solved.
 
     Systems solved with one `shared` dict share work.  It maps an elimination
     order to the root of a trie of the relation prefixes eliminated so far
@@ -431,9 +403,9 @@ def solve(system: RelationSystem, shared: dict | None = None) -> Verdict:
     of what `_rule_stage` decided, keyed by the system after elimination
     (see `_reduced_key`).  A system whose key is in the memo skips the rule
     stage; its verdict's certificate, solution and notes are still built from
-    its own eliminator and relations, so its combination names its own
-    labels.  The relations of the systems must not be mutated while the dict
-    is in use.  Without it the system is solved alone.
+    its own eliminator, so its combination names its own labels.  The
+    relations of the systems must not be mutated while the dict is in use.
+    Without it the system is solved alone.
     """
     system.validate()
     order = _elimination_order(system.symbols)
@@ -444,20 +416,17 @@ def solve(system: RelationSystem, shared: dict | None = None) -> Verdict:
         state = shared[order_key] = ((Eliminator(order), {}, None), {})
     root, memo = state
     elim = _eliminate(system.relations, root)
-    relations = tuple(system.relations)
 
     if elim.inconsistent is not None:
         row = elim.inconsistent
         return Infeasible("contradictory_equations", lambda: Certificate(
-            "contradictory_equations", row.expr, row.combo,
-            _eps_bound(row.combo, relations),
+            "contradictory_equations", row.expr, row.combo, _eps_bound(row.combo),
             f"relations force {expr_str(row.expr)} = 0"))
 
     key = _reduced_key(system, elim)
     entry = memo.get(key)
     if entry is None:
-        held = (tuple(system.symbols.values()), tuple(system.inequalities),
-                tuple(system.disequalities))
+        held = (tuple(system.symbols.values()), tuple(system.inequalities))
         entry = memo[key] = (_rule_stage(system, order, elim), held)
     rule, value, human = entry[0]  # value: the fired expression or the sample
     if rule is None:
@@ -471,8 +440,7 @@ def solve(system: RelationSystem, shared: dict | None = None) -> Verdict:
     if rule in _REGION_RULES:
         return Infeasible(rule, lambda: Certificate(
             rule, {k: Fraction(v) for k, v in value.items()}, {}, None, human()))
-    return Infeasible(rule, lambda: _certificate(rule, value, human, elim,
-                                                 relations))
+    return Infeasible(rule, lambda: _certificate(rule, value, human, elim))
 
 
 def _rule_stage(system: RelationSystem, order: list[str],

@@ -44,19 +44,13 @@ def fixture_names(registry: dict | None = None) -> list[str]:
 
 
 def _sym(name: str, d: dict) -> Sym:
-    return Sym(
-        name=name,
-        kind=d["kind"],
-        set_tag=d.get("set_tag"),
-        base=d.get("base"),
-        greater_than_one=d.get("greater_than_one", True),
-        integer=d.get("integer", True),
-    )
+    return Sym(name=name, kind=d["kind"], set_tag=d.get("set_tag"),
+               base=d.get("base"))
 
 
 def _relations(elements: list[dict], prefix: str) -> list[Relation]:
     return [Relation({k: Fraction(v) for k, v in r["coeffs"].items()},
-                     prefix + r["label"], Fraction(r.get("eps", 1)))
+                     prefix + r["label"])
             for r in elements]
 
 

@@ -157,6 +157,8 @@ def partition_orbit(
     """Incoming/outgoing end partition at an orbit of the given kind."""
     if direction not in ("in", "out"):
         raise ValueError("direction must be 'in' or 'out'")
+    if m < 0:
+        raise ValueError("multiplicity must be nonnegative")
     if kind == POSITIVE_HYPERBOLIC:
         return Partition((1,) * m)
     if kind == NEGATIVE_HYPERBOLIC:

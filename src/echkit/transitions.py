@@ -277,11 +277,11 @@ def _assemble(symbols: dict, pieces: list, label: str) -> RelationSystem:
 def _middle_symbols(views: list[_SideView], e_syms: list[str]) -> dict:
     symbols: dict[str, Sym] = {}
     for v in views:
-        symbols[v.b] = Sym(v.b, MEMBER, set_tag=v.tag, integer=True)
-        symbols[v.bn] = Sym(v.bn, SUCCESSOR, base=v.b, integer=True)
-        symbols[v.m] = Sym(v.m, COUNT, integer=True)
+        symbols[v.b] = Sym(v.b, MEMBER, set_tag=v.tag)
+        symbols[v.bn] = Sym(v.bn, SUCCESSOR, base=v.b)
+        symbols[v.m] = Sym(v.m, COUNT)
     for e in e_syms:
-        symbols[e] = Sym(e, COUNT, integer=True)
+        symbols[e] = Sym(e, COUNT)
     return symbols
 
 

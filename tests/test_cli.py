@@ -112,6 +112,9 @@ class TestBasics:
         ["cz", "--kind", "positive_hyperbolic", "--k", "3"],  # no --cz
         ["ellipsoid", "volume", "--a", "1", "--b", "1", "--k", "0"],
         ["lattice", "--s1", "1", "--s2", "1", "--t", "2.5"],  # one grammar
+        ["stheta", "--theta", "1/0", "--max", "5"],  # zero divisors
+        ["lattice", "--s1", "1", "--s2", "0/0", "--t", "3"],
+        ["stheta", "--theta", "1/(sqrt(2)-sqrt(2))", "--max", "5"],
     ])
     def test_missing_or_invalid_value_exits_2(self, capsys, argv):
         assert main(argv) == 2

@@ -19,7 +19,6 @@ from echkit.ellipsoid import (
     generator_orbit_set,
     lattice_count,
     two_elliptic_catalog,
-    volume_ratio,
 )
 from echkit.exactreal import ExactReal, parse_real
 from echkit.index import FiniteAbelianGroup, OrbitCatalog, SimpleOrbit
@@ -227,8 +226,13 @@ class TestGenIndex:
 
 
 class TestVolumeRatio:
+    """capacity(k)^2 / (2k) approaches a*b, in exact arithmetic."""
+
     def test_round_ellipsoid_converges(self):
-        assert abs(volume_ratio(E_ROUND, 5000) - 1) < 0.03
+        k = 5000
+        c = capacity(E_ROUND, k)
+        gap = c * c / (2 * k) - E_ROUND.a * E_ROUND.b
+        assert Fraction(-3, 100) < gap < Fraction(3, 100)
 
     def test_exact_scaling(self):
         big = Ellipsoid(ExactReal(2), ExactReal(0, 2, 1, 2))  # 2*E(1, sqrt 2)
@@ -236,7 +240,8 @@ class TestVolumeRatio:
         caps_big = capacities(big, 50)
         for k in range(1, 51):
             assert caps_big[k] == caps_small[k] * 2
-        assert volume_ratio(big, 37) == 4 * volume_ratio(E_IRR, 37)
+        c_big, c_small = capacity(big, 37), capacity(E_IRR, 37)
+        assert c_big * c_big == 4 * (c_small * c_small)
 
 
 class TestLatticeCount:

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from echkit import feasibility
 from echkit.feasibility import (
-    Disequality,
     Feasible,
     Inequality,
     Infeasible,
@@ -29,8 +29,8 @@ from echkit.linear import CONST, _eval, lin, scale_expr, sub_expr
 
 def a_context():
     return {
-        "P": Sym("P", "s_member", set_tag="p", integer=True),
-        "P_next": Sym("P_next", "s_successor", base="P", integer=True),
+        "P": Sym("P", "s_member", set_tag="p"),
+        "P_next": Sym("P_next", "s_successor", base="P"),
         "D1": Sym("D1", "action"),
         "D2": Sym("D2", "action"),
         "E": Sym("E", "action"),
@@ -146,9 +146,8 @@ class TestSolveExamples:
          r"inequality Z>=0 uses unknown symbols \['Z'\]"),
         (dict(inequalities=[Inequality(lin({"Z": 1, "P": -1}))]),
          r"inequality -P\+Z uses unknown symbols \['Z'\]"),
-        (dict(disequalities=[Disequality(lin({"Z": 1, "P": -1}), "cross_set",
-                                         label="Z!=P")]),
-         r"disequality Z!=P uses unknown symbols \['Z'\]"),
+        (dict(relations=[Relation(lin({"Z": 1, "P": -1}), "Z=P")]),
+         r"relation Z=P uses unknown symbols \['Z'\]"),
         (dict(symbols={"P_next": Sym("P_next", "s_successor", base="X")}),
          "successor P_next has base X, which is not a declared s_member"),
         (dict(symbols={"C": Sym("C", "count"),
@@ -156,58 +155,60 @@ class TestSolveExamples:
          "successor P_next has base C, which is not a declared s_member"),
     ])
     def test_invalid_system_names_the_item(self, change, message):
-        """An undeclared symbol in a side constraint, or a successor whose
-        base is missing or not a member, is rejected before elimination."""
+        """An undeclared symbol in a relation or a side constraint, or a
+        successor whose base is missing or not a member, is rejected before
+        elimination."""
         symbols = {**a_context(), **change.pop("symbols", {})}
-        system = RelationSystem(symbols, [CLUBS], **change)
+        system = RelationSystem(symbols, change.pop("relations", [CLUBS]), **change)
         with pytest.raises(ValueError, match=message):
             solve(system)
 
 
 class TestDisequalitySampler:
-    """An integer count k >= 1 with k <= upper and the hyperplane k = avoid
-    removed; no relation, so only the FM sampler can decide."""
+    """`_avoid_disequalities` on one variable k: a sample point of the
+    inequalities off every hyperplane k = i, each a fact without escape."""
 
-    def system(self, upper, avoid):
-        return RelationSystem(
-            {"k": Sym("k", "count", integer=True)},
-            [],
-            inequalities=[Inequality(lin({"k": -1, CONST: upper}), label="k<=upper")],
-            disequalities=[Disequality(lin({"k": 1, CONST: -avoid}),
-                                       rule="cross_set", label="k!=avoid")],
-        )
+    @staticmethod
+    def sample(ineqs, avoid):
+        facts = [(lin({"k": 1, CONST: -i}), None) for i in avoid]
+        return feasibility._avoid_disequalities(ineqs, ["k"], facts)
 
     def test_region_inside_the_hyperplane_is_infeasible(self):
-        v = solve(self.system(upper=1, avoid=1))
-        assert isinstance(v, Infeasible)
-        assert v.certificate.rule == "forced_disequality"
-        assert v.certificate.equation == lin({"k": 1, CONST: -1})
+        # 1 <= k <= 1 and k != 1
+        ineqs = [Inequality(lin({"k": 1, CONST: -1})),
+                 Inequality(lin({"k": -1, CONST: 1}))]
+        assert self.sample(ineqs, [1]) is None
 
     def test_sample_leaves_the_hyperplane(self):
         # the first FM sample, the midpoint k = 2 of [1, 3], lies on it
-        v = solve(self.system(upper=3, avoid=2))
-        assert isinstance(v, Feasible)
-        k = v.sample["k"]
+        ineqs = [Inequality(lin({"k": 1, CONST: -1})),
+                 Inequality(lin({"k": -1, CONST: 3}))]
+        assert _eval(lin({"k": 1}), feasibility.fm_solve(ineqs, ["k"]).sample) == 2
+        k = self.sample(ineqs, [2])["k"]
         assert 1 <= k <= 3 and k != 2
 
-    def test_deep_branching_still_finds_a_point(self):
+    def test_deep_branching_still_finds_a_point(self, monkeypatch):
         """0 < k < 4096 with k != 1, ..., 4095: the sampler halves towards
         4096 and hits a hyperplane at every step, twelve levels deep, before
         k = 8191/2 avoids them all."""
         top = 4096
-        system = RelationSystem(
-            {"k": Sym("k", "count")},
-            [],
-            inequalities=[Inequality(lin({"k": -1, CONST: top}), strict=True,
-                                     label="k<top")],
-            disequalities=[Disequality(lin({"k": 1, CONST: -i}),
-                                       rule="cross_set", label=f"k!={i}")
-                           for i in range(1, top)],
-        )
-        v = solve(system)
-        assert isinstance(v, Feasible)
-        k = v.sample["k"]
-        assert 0 < k < top and k.denominator != 1
+        depth = [0, 0]  # current, deepest
+        avoid = feasibility._avoid_disequalities
+
+        def counted(*args):
+            depth[0] += 1
+            depth[1] = max(depth)
+            try:
+                return avoid(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(feasibility, "_avoid_disequalities", counted)
+        ineqs = [Inequality(lin({"k": 1}), strict=True),
+                 Inequality(lin({"k": -1, CONST: top}), strict=True)]
+        k = self.sample(ineqs, range(1, top))["k"]
+        assert k == Fraction(2 * top - 1, 2)
+        assert depth[1] == 13  # the top call and twelve branches
 
 
 class TestOppositeSetLaw:
@@ -222,8 +223,8 @@ class TestOppositeSetLaw:
         symbols = {}
         for tag in ("p", "q"):
             b, n = f"{tag}1", f"{tag}1n"
-            symbols[b] = Sym(b, "s_member", set_tag=tag, integer=True)
-            symbols[n] = Sym(n, "s_successor", base=b, integer=True)
+            symbols[b] = Sym(b, "s_member", set_tag=tag)
+            symbols[n] = Sym(n, "s_successor", base=b)
         return RelationSystem(symbols, list(relations),
                               inequalities=list(inequalities))
 
@@ -300,8 +301,8 @@ class TestZeroCoefficients:
                "E": {"kind": "count"}}
 
     def system(self, coeffs):
-        symbols = {"P": Sym("P", "s_member", set_tag="p", integer=True),
-                   "E": Sym("E", "count", integer=True)}
+        symbols = {"P": Sym("P", "s_member", set_tag="p"),
+                   "E": Sym("E", "count")}
         return RelationSystem(symbols, [Relation(coeffs, "r")])
 
     def test_zero_term_gives_the_verdict_without_it(self):
@@ -411,6 +412,34 @@ class TestFixtureTables:
     def test_unknown_fixture(self):
         with pytest.raises(KeyError):
             run_fixture("nope")
+
+    @staticmethod
+    def unread_keys(registry: dict) -> set:
+        """Keys of symbol and relation entries that `fixtures._sym` and
+        `fixtures._relations` do not read."""
+        out = set()
+        for fx in registry["fixtures"].values():
+            for sym in fx["symbols"].values():
+                out |= set(sym) - {"kind", "set_tag", "base"}
+            families = [*fx["families"].values(),
+                        *fx.get("extra_families", {}).values()]
+            relations = [*fx.get("base_relations", ()),
+                         *(r for fam in families for element in fam["elements"]
+                           for r in element)]
+            for r in relations:
+                out |= set(r) - {"coeffs", "label"}
+        return out
+
+    def test_registry_uses_only_keys_the_loader_reads(self):
+        """A symbol's side constraint follows from its kind and every
+        relation holds up to eps, so a key such as "integer" or "eps" would
+        be ignored without a word; the registry carries none."""
+        registry = load_registry()
+        assert self.unread_keys(registry) == set()
+        fx = registry["fixtures"]["typB"]
+        fx["symbols"]["P"]["integer"] = False
+        fx["families"][fx["case_families"][0]]["elements"][0][0]["eps"] = 2
+        assert self.unread_keys(registry) == {"integer", "eps"}
 
     def test_run_all(self):
         results = run_all()

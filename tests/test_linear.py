@@ -118,21 +118,20 @@ def test_copy_adds_independently(prefix, suffix):
 
 
 ENGINE_SYMS = {
-    "P": Sym("P", "s_member", integer=True),
-    "Pn": Sym("Pn", "s_successor", base="P", integer=True),
+    "P": Sym("P", "s_member"),
+    "Pn": Sym("Pn", "s_successor", base="P"),
     "D1": Sym("D1", "action"),
     "D2": Sym("D2", "action"),
-    "k": Sym("k", "count", integer=True),
+    "k": Sym("k", "count"),
 }
 engine_exprs = st.dictionaries(st.sampled_from(list(ENGINE_SYMS) + [CONST]),
                                coeff, min_size=1, max_size=4)
-eps_multiples = st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2)])
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(engine_exprs, eps_multiples), min_size=1, max_size=5))
+@given(st.lists(engine_exprs, min_size=1, max_size=5))
 def test_infeasible_certificates_replay(rels):
-    relations = [Relation(e, LABELS[i], m) for i, (e, m) in enumerate(rels)]
+    relations = [Relation(e, LABELS[i]) for i, e in enumerate(rels)]
     v = solve(RelationSystem(dict(ENGINE_SYMS), relations))
     if not isinstance(v, Infeasible) or not v.certificate.combo:
         return
@@ -142,9 +141,8 @@ def test_infeasible_certificates_replay(rels):
     for label, c in cert.combo.items():
         total = sub_expr(total, scale_expr(by_label[label].coeffs, -c))
     assert total == cert.equation
-    assert cert.eps_bound == sum(
-        (abs(c) * by_label[l].eps_multiple for l, c in cert.combo.items()),
-        Fraction(0))
+    # each relation holds up to eps
+    assert cert.eps_bound == sum(map(abs, cert.combo.values()), Fraction(0))
 
 
 # -- integer rows against a plain-Fraction reference ------------------------

@@ -162,6 +162,12 @@ class TestPartitionOrbit:
         assert partition_orbit("elliptic", "in", 10, THETA) == partition_in(THETA, 10)
         assert partition_orbit("elliptic", "out", 10, THETA) == partition_out(THETA, 10)
 
+    @pytest.mark.parametrize("kind", [
+        "positive_hyperbolic", "negative_hyperbolic", "elliptic"])
+    def test_negative_multiplicity_rejected(self, kind):
+        with pytest.raises(ValueError, match="nonnegative"):
+            partition_orbit(kind, "in", -3, THETA)
+
 
 class TestInitialSegment:
     def test_prefix(self):
