@@ -60,7 +60,7 @@ def lines():
         fx = registry["fixtures"][name]
         for case in fixtures.case_tuples(fx):
             for i, system in enumerate(fixtures.case_systems(fx, case), 1):
-                d = i if "disjunction" in fx else None
+                d = i if "disjuncts" in fx else None
                 yield f"solve fixture {name} {case} d{d} {fields(solve(system))}"
     for full in (False, True):
         depth = "full" if full else "skeleton"

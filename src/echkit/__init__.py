@@ -67,7 +67,6 @@ from .transitions import (
     EXCLUDED_PAIRS,
     MODELS,
     TYPES,
-    allowed_pairs,
     chain_check,
     compatible,
     f_grid,

@@ -259,9 +259,8 @@ def _fixture_rows(result) -> list[dict]:
 
 
 def cmd_verify_cases(args) -> int:
-    registry = fixtures_mod.load_registry()
-    names = [args.fixture] if args.fixture else fixtures_mod.fixture_names(registry)
-    results = [fixtures_mod.run_fixture(n, registry) for n in names]
+    results = ([fixtures_mod.run_fixture(args.fixture)] if args.fixture
+               else list(fixtures_mod.run_all().values()))
     ok = all(r.ok for r in results)
     payload = {
         "command": "verify-cases",
@@ -319,7 +318,7 @@ def cmd_transitions_pairs(args) -> int:
 
 
 def cmd_transitions_chains(args) -> int:
-    rep = trans_mod.chain_check()
+    rep = trans_mod.chain_check(trans_mod.pair_report().allowed)
     payload = {
         "command": "transitions-chains",
         "triples_examined": len(rep.rows),
@@ -354,9 +353,7 @@ def cmd_verify_all(args) -> int:
     table = []
     payload: dict = {"command": "verify-all"}
 
-    registry = fixtures_mod.load_registry()
-    results = [fixtures_mod.run_fixture(n, registry)
-               for n in fixtures_mod.fixture_names(registry)]
+    results = list(fixtures_mod.run_all().values())
     fixtures_ok = all(r.ok for r in results)
     payload["fixtures"] = {r.name: r.ok for r in results}
     table.append(f"case fixtures: {'ok' if fixtures_ok else 'MISMATCH'} "

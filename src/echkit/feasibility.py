@@ -51,7 +51,7 @@ import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from .linear import (
     CONST,
@@ -200,7 +200,8 @@ Verdict = Infeasible | Feasible
 # which rule decides: within one solve (ties go to the earlier check), and
 # across the systems of one `decide`.  solve returns contradictory_equations
 # before it ranks anything, so its place matters only across systems: bare
-# arithmetic collapses rank last.
+# arithmetic collapses rank last.  Each zero rule sits directly above its
+# nonpositive rule, which `_rule_stage` relies on.
 _RULE_PRIORITY = [
     "cross_set",
     "member_zero",
@@ -280,7 +281,11 @@ def _facts(system: RelationSystem) -> list[tuple]:
 
 
 def _member_facts(system: RelationSystem, elim: Eliminator) -> list[Inequality]:
-    """Order facts on members/successors only, reduced by the pivots."""
+    """Order facts on members/successors only, reduced by the pivots: the
+    strict member > 1 and successor > member, not the kinds' side constraints.
+    A successor forced onto its member would reduce successor >= member + 1
+    to the violated -1 >= 0 and fire every nonpositive check vacuously, above
+    successor_equal; successor > member reduces to nothing and is dropped."""
     facts = []
     for name, s in system.symbols.items():
         if s.kind == MEMBER:
@@ -342,6 +347,8 @@ _SIGN_RULES = {
     SUCCESSOR: ("member_zero", "member_nonpositive"),
     COUNT: ("count_zero", "count_nonpositive"),
 }
+# and of a successor's gap to its member
+_GAP_RULES = ("successor_equal", "successor_not_greater")
 
 
 def _eps_bound(combo: dict) -> Fraction:
@@ -390,10 +397,9 @@ def _reduced_key(system: RelationSystem, elim: Eliminator) -> tuple:
 def solve(system: RelationSystem, shared: dict | None = None) -> Verdict:
     """Decide the eps->0 limit of the system exactly.
 
-    Every side-constraint rule that fires is detected, and the verdict is the
-    first of them in `_RULE_PRIORITY` order (ties go to the earlier check).
-    Zero checks are decided on the eliminator's integer rows; a check that
-    could not beat the rule already found is skipped.  The certificate, with
+    The side-constraint checks run in `_RULE_PRIORITY` order (ties go to the
+    earlier check), and the verdict is the first rule that fires.  Zero
+    checks are decided on the eliminator's integer rows.  The certificate, with
     its combination and eps bound, is built when the verdict's `certificate`
     is first read, from the eliminator as it was when the system was solved.
 
@@ -447,20 +453,21 @@ def _rule_stage(system: RelationSystem, order: list[str],
                 elim: Eliminator) -> tuple:
     """What `solve` decides after a consistent elimination, as a function of
     `_reduced_key` alone: (rule, fired expression, text builder) of an
-    Infeasible verdict, or (None, sample, None) of a Feasible one."""
+    Infeasible verdict, or (None, sample, None) of a Feasible one.
+
+    The checks, listed as `_facts` gives the facts and then per symbol in
+    elimination order (its sign checks, then a successor's gap checks), run
+    in `rule_rank` order, ties in listed order, and the first that fires
+    decides.  Each zero rule ranks directly above its nonpositive rule, so a
+    nonpositive check runs after its zero check failed, on that check's
+    reduced row.  `_facts` lists its rules in rank order, so the unforced
+    facts and open escapes are gathered in its order."""
     variables = [s for s in order if s not in elim.pivots]
     facts = []  # (coeffs, rule, reduced coeffs, escape inequalities), unforced
     escapes = []  # the escape inequalities of forced facts, for the FM stage
     side = None  # the reduced side constraints, built on first use
     order_facts = None  # the member order facts, built on first use
-    best = None  # (rank, rule, expr, human) of the winning rule so far
-
-    def fire(rule: str, expr: LinExpr, human: Callable[[], str]):
-        nonlocal best
-        best = (rule_rank(rule), rule, expr, human)
-
-    def beats(rule: str) -> bool:
-        return best is None or rule_rank(rule) < best[0]
+    rows = {}  # id of a sign-checked expression -> its reduced row
 
     def side_constraints() -> list[Inequality]:
         nonlocal side
@@ -475,38 +482,44 @@ def _rule_stage(system: RelationSystem, order: list[str],
             order_facts = _member_facts(system, elim)
         return order_facts
 
-    def check(expr, zero_rule, zero_human, nonpos_rule, nonpos_name):
-        if not beats(zero_rule):  # each zero rule ranks above its nonpositive rule
-            return
-        reduced = elim.reduce(expr)
-        if not reduced.num:
-            fire(zero_rule, expr, lambda: zero_human)
-        elif beats(nonpos_rule) and _forced_nonpositive(system, member_facts, reduced):
-            fire(nonpos_rule, expr, lambda: f"{nonpos_name} = "
-                 f"{expr_str(reduced.expr)} cannot be positive")
-
-    for coeffs, rule, escape in _facts(system):
-        if not beats(rule):
-            continue
+    # each check returns the text builder of its rule when the rule fires
+    def fact(coeffs, rule, escape):
         num = elim.reduce(coeffs).num
         ones = escape and _escape_inequalities(elim, escape)
         if num:
             facts.append((coeffs, rule, num, ones))
         elif ones and fm_solve(side_constraints() + ones, variables).feasible:
-            escapes += ones
+            escapes.extend(ones)
         else:
-            fire(rule, coeffs, lambda c=coeffs: f"relations force {expr_str(c)} = 0")
+            return lambda: f"relations force {expr_str(coeffs)} = 0"
+
+    def zero(expr, human):
+        reduced = rows[id(expr)] = elim.reduce(expr)
+        if not reduced.num:
+            return lambda: human
+
+    def nonpositive(expr, name):
+        reduced = rows[id(expr)]
+        if _forced_nonpositive(system, member_facts, reduced):
+            return lambda: f"{name} = {expr_str(reduced.expr)} cannot be positive"
+
+    checks = [(rule, coeffs, partial(fact, coeffs, rule, escape))
+              for coeffs, rule, escape in _facts(system)]
     for name in order:
         s = system.symbols[name]
-        zero_rule, nonpos_rule = _SIGN_RULES[s.kind]
-        check({name: 1}, zero_rule, f"{name} is forced to vanish", nonpos_rule, name)
+        signed = [({name: 1}, _SIGN_RULES[s.kind], f"{name} is forced to vanish",
+                   name)]
         if s.kind == SUCCESSOR:
-            check({name: 1, s.base: -1}, "successor_equal",
-                  f"{name} = {s.base} is forced",
-                  "successor_not_greater", f"{name} - {s.base}")
-
-    if best is not None:
-        return best[1:]
+            signed.append(({name: 1, s.base: -1}, _GAP_RULES,
+                           f"{name} = {s.base} is forced", f"{name} - {s.base}"))
+        for expr, (zero_rule, nonpos_rule), human, label in signed:
+            checks += [(zero_rule, expr, partial(zero, expr, human)),
+                       (nonpos_rule, expr, partial(nonpositive, expr, label))]
+    checks.sort(key=lambda c: rule_rank(c[0]))
+    for rule, expr, check in checks:
+        human = check()
+        if human is not None:
+            return rule, expr, human
 
     ineqs = side_constraints() + escapes
     res = fm_solve(ineqs, variables)
@@ -586,10 +599,11 @@ def _avoid_disequalities(ineqs, variables, facts):
 
 
 def _integrality_notes(system: RelationSystem, solution: dict) -> list[str]:
-    """Members are integers, so fractional multiples impose divisibility."""
+    """Integer symbols equal to fractional multiples of integer symbols
+    impose divisibility."""
     notes = []
     for name in sorted(solution):
-        if system.symbols[name].kind not in (MEMBER, SUCCESSOR):
+        if not system.symbols[name].integer:
             continue
         e = solution[name]
         if len(e) != 1:
@@ -597,9 +611,7 @@ def _integrality_notes(system: RelationSystem, solution: dict) -> list[str]:
         (dep, coeff), = e.items()
         if dep == CONST:
             continue
-        dep_spec = system.symbols.get(dep)
-        if (dep_spec and dep_spec.kind in (MEMBER, SUCCESSOR)
-                and coeff.denominator > 1):
+        if system.symbols[dep].integer and coeff.denominator > 1:
             notes.append(
                 f"{name} = {coeff}*{dep} is integral, so "
                 f"{coeff.denominator} divides {dep}"

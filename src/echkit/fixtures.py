@@ -2,11 +2,12 @@
 
 Each fixture bundles a symbol table, base relations that always hold, and
 one relation family per degeneration in `families`; a case tuple selects one
-element of each.  A fixture with a `disjunction` family (kept in
-`extra_families`) gives each case one system per disjunct, and the case
-survives when at least one disjunct is consistent.  The runner decides every
-case exactly with `feasibility.decide` and compares the result against the
-expected survivor table (and, where recorded, the expected solved actions).
+element of each.  A fixture with a `disjuncts` family gives each case one
+system per disjunct, and the case survives when at least one disjunct is
+consistent.  The runner decides every case exactly with `feasibility.decide`
+and compares the result against the expected survivor list, where a case
+not listed (or no list at all) is expected to die, and, where recorded,
+against the expected solved actions.
 `invariant_suite` adds seeded spot checks of the structural laws of S(theta),
 partitions, the grading step and the grid map.
 """
@@ -56,16 +57,15 @@ def _relations(elements: list[dict], prefix: str) -> list[Relation]:
 
 def case_systems(fx: dict, case: tuple[int, ...]) -> list[RelationSystem]:
     """The systems of one case tuple (1-based indices into each family): one,
-    or one per disjunct of the `disjunction` family.  They share the base and
+    or one per element of the `disjuncts` family.  They share the base and
     case Relation objects, so `decide` eliminates that prefix once."""
     symbols = {n: _sym(n, d) for n, d in fx["symbols"].items()}
     relations = _relations(fx.get("base_relations", ()), "")
     for fam_name, idx in zip(fx["case_families"], case):
         relations += _relations(fx["families"][fam_name]["elements"][idx - 1],
                                 f"{fam_name}:")
-    disjuncts = ([_relations(d, "disjunct:")
-                  for d in fx["extra_families"][fx["disjunction"]]["elements"]]
-                 if "disjunction" in fx else [[]])
+    disjuncts = ([_relations(d, "disjunct:") for d in fx["disjuncts"]["elements"]]
+                 if "disjuncts" in fx else [[]])
     return [RelationSystem(symbols=symbols, relations=relations + d,
                            label=f"case {case}") for d in disjuncts]
 
@@ -75,16 +75,14 @@ def case_tuples(fx: dict) -> list[tuple[int, ...]]:
     return list(itertools.product(*[range(1, n + 1) for n in sizes]))
 
 
-def case_display(fx: dict, case: tuple[int, ...]) -> str:
+def case_display(case: tuple[int, ...]) -> str:
     return "(" + ",".join(str(i) for i in case) + ")"
 
 
 def case_labels(fx: dict, case: tuple[int, ...]) -> str:
-    parts = []
-    for fam_name, idx in zip(fx["case_families"], case):
-        labels = fx["families"][fam_name].get("labels")
-        parts.append(labels[idx - 1] if labels else str(idx))
-    return "[" + ",".join(parts) + "]"
+    labels = [fx["families"][fam_name]["labels"][idx - 1]
+              for fam_name, idx in zip(fx["case_families"], case)]
+    return "[" + ",".join(labels) + "]"
 
 
 @dataclass
@@ -132,13 +130,12 @@ def run_fixture(name: str, registry: dict | None = None) -> FixtureResult:
     except KeyError:
         raise KeyError(f"unknown fixture {name!r}") from None
     expected = fx["expected"]
-    all_infeasible = expected.get("all_infeasible", False)
     survivors = {tuple(c) for c in expected.get("survivors", ())}
     solutions = expected.get("solutions", {})
     result = FixtureResult(name=name, title=fx.get("title", ""))
     for case in case_tuples(fx):
         verdict = decide(case_systems(fx, case))
-        want_feasible = (not all_infeasible) and (case in survivors)
+        want_feasible = case in survivors
         sol_ok = None
         key = ",".join(str(i) for i in case)
         if verdict.feasible and key in solutions:
@@ -146,7 +143,7 @@ def run_fixture(name: str, registry: dict | None = None) -> FixtureResult:
         result.rows.append(
             CaseRow(
                 case=case,
-                display=case_display(fx, case),
+                display=case_display(case),
                 labels=case_labels(fx, case),
                 expected_feasible=want_feasible,
                 verdict=verdict,

@@ -304,12 +304,21 @@ class OrbitCatalog:
         return [o for o in self.orbits if o.is_elliptic]
 
 
+def _exact(value, what: str) -> Fraction:
+    """A value documented as exact: a JSON integer or a rational string, never
+    a JSON float or boolean, which would be taken as a nearby binary value."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{what} must be an integer or a rational string, "
+                         f"not {value!r}")
+    return Fraction(value)
+
+
 def orbit_from_dict(d: dict, n_factors: int) -> SimpleOrbit:
     rotation = d.get("rotation")
     return SimpleOrbit(
         name=d["name"],
         kind=d["kind"],
-        action=Fraction(d["action"]),
+        action=_exact(d["action"], f"action of {d['name']}"),
         rotation=parse_real(rotation) if rotation is not None else None,
         cz=d.get("cz"),
         homology=tuple(d.get("homology", (0,) * n_factors)),
@@ -323,19 +332,18 @@ def catalog_from_dict(d: dict) -> OrbitCatalog:
     )
     cb = d.get("complete_below")
     return OrbitCatalog(
-        group, orbits, Fraction(cb) if cb is not None else None
+        group, orbits, _exact(cb, "complete_below") if cb is not None else None
     )
 
 
-def orbit_set_from_dict(d: dict, catalog: OrbitCatalog | None = None) -> OrbitSet:
-    """Build an orbit set from {"group":..., "orbits":..., "items": {...}}.
-
-    When `catalog` is given the document may omit group/orbits and refer to
-    catalog orbits by name.
-    """
-    if catalog is None:
-        catalog = catalog_from_dict(d)
-    items = tuple(
-        (catalog.get(name), int(mult)) for name, mult in sorted(d["items"].items())
-    )
-    return OrbitSet(items, catalog.group)
+def orbit_set_from_dict(d: dict) -> OrbitSet:
+    """Build an orbit set from {"group":..., "orbits":..., "items": {...}},
+    where `items` maps orbit names to JSON integer multiplicities."""
+    catalog = catalog_from_dict(d)
+    items = []
+    for name, mult in sorted(d["items"].items()):
+        if isinstance(mult, bool) or not isinstance(mult, int):
+            raise ValueError(f"multiplicity of {name} must be an integer, "
+                             f"not {mult!r}")
+        items.append((catalog.get(name), mult))
+    return OrbitSet(tuple(items), catalog.group)

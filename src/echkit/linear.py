@@ -51,13 +51,6 @@ def lin(pairs: dict) -> LinExpr:
     return {k: Fraction(v) for k, v in pairs.items() if v}
 
 
-def scale_expr(a: LinExpr, c) -> LinExpr:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
-
-
 def sub_expr(a: LinExpr, b: LinExpr) -> LinExpr:
     out = dict(a)
     _sub_scaled(out, b, 1)

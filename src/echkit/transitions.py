@@ -359,11 +359,6 @@ def pair_report() -> PairReport:
     )
 
 
-def allowed_pairs() -> list[tuple[str, str]]:
-    """The ordered pairs the engine cannot exclude (expected: exactly 12)."""
-    return pair_report().allowed
-
-
 # -- chains of length three ----------------------------------------------------
 
 
@@ -423,17 +418,14 @@ class ChainReport:
         return [r for r in self.rows if r.verdict.feasible]
 
 
-def chain_check(allowed: list[tuple[str, str]] | None = None) -> ChainReport:
+def chain_check(allowed: list[tuple[str, str]]) -> ChainReport:
     """Probe every chain of two engine-allowed pairs at full depth.
 
-    `allowed` defaults to `allowed_pairs()`; a caller that already holds a
-    pair report passes its allowed pairs.  Each middle set is probed once,
-    however many triples share it.  A feasible triple is reported verbatim
-    (it would mean the encoded constraints are too coarse to forbid a third
-    consecutive step), never suppressed.
+    `allowed` is the allowed list of a pair report.  Each middle set is
+    probed once, however many triples share it.  A feasible triple is
+    reported verbatim (it would mean the encoded constraints are too coarse
+    to forbid a third consecutive step), never suppressed.
     """
-    if allowed is None:
-        allowed = allowed_pairs()
     starts = {}
     for a, b in allowed:
         starts.setdefault(a, []).append(b)

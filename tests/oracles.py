@@ -9,6 +9,14 @@ import mpmath
 from echkit.exactreal import ExactReal, ceil_mul
 
 
+def scale_expr(a: dict, c) -> dict:
+    """c * a for a linear expression; certificates are replayed with it."""
+    c = Fraction(c)
+    if not c:
+        return {}
+    return {k: v * c for k, v in a.items()}
+
+
 def s_theta_bruteforce(theta: ExactReal, qmax: int) -> list[int]:
     """Literal definition: q belongs iff its ceiling fraction beats every
     smaller denominator.  Quadratic, with early exit on the first violation."""

@@ -180,7 +180,7 @@ def test_criterion_6_transition_tables():
     ok = len(rep.excluded) == 24 and len(rep.allowed) == 12
     ok &= rep.deviations == []
     ok &= rep.mirror_symmetric()
-    chains = chain_check()
+    chains = chain_check(rep.allowed)
     n_feasible = len(chains.feasible_triples)
     finding = ""
     if n_feasible:

@@ -142,6 +142,29 @@ class TestIndexCommand:
         assert data["ech_index"] == 2
         assert data["j0_index"] == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("items", {"gamma": 2.5}),  # was read as multiplicity 2
+        ("items", {"gamma": True}),
+        ("action", 0.1),  # was read as 3602879701896397/36028797018963968
+    ])
+    def test_inexact_value_exits_2(self, capsys, tmp_path, field, value):
+        orbit = {"name": "gamma", "kind": "elliptic", "action": "1",
+                 "rotation": "sqrt(2)-1"}
+        doc = {"group": [], "orbits": [orbit], "items": {"gamma": 2}}
+        if field == "action":
+            orbit["action"] = value
+        else:
+            doc["items"] = value
+        fa = tmp_path / "alpha.json"
+        fa.write_text(json.dumps(doc))
+        fb = tmp_path / "beta.json"
+        fb.write_text(json.dumps(dict(doc, items={})))
+        code = main(["index", "--alpha", str(fa), "--beta", str(fb),
+                     "--c1", "0", "--q", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestEllipsoid:
     def test_caps(self, capsys):
@@ -174,6 +197,24 @@ class TestEllipsoid:
         assert code == 0
         assert data["total"] > 0
         assert data["e_ratios"]["0"] is not None
+
+    @pytest.mark.parametrize("field, value", [("action", 0.1),
+                                              ("complete_below", 100.0)])
+    def test_density_inexact_value_exits_2(self, capsys, tmp_path, field, value):
+        orbit = {"name": "g1", "kind": "elliptic", "action": "1",
+                 "rotation": "sqrt(2)-1"}
+        cat = {"group": [], "orbits": [orbit], "complete_below": "100"}
+        if field == "action":
+            orbit["action"] = value
+        else:
+            cat["complete_below"] = value
+        f = tmp_path / "cat.json"
+        f.write_text(json.dumps(cat))
+        code = main(["ellipsoid", "density", "--catalog", str(f),
+                     "--max-action", "10", "--gamma", "g1", "--e", "0,1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestVerify:

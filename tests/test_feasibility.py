@@ -24,7 +24,8 @@ from echkit.fixtures import (
     run_all,
     run_fixture,
 )
-from echkit.linear import CONST, _eval, lin, scale_expr, sub_expr
+from echkit.linear import CONST, _eval, lin, sub_expr
+from oracles import scale_expr
 
 
 def a_context():
@@ -102,6 +103,20 @@ class TestSolveExamples:
         v = solve(system)
         assert not v.feasible
         assert v.certificate.rule == "gap_equals_member"
+
+    def test_successor_forced_onto_its_member(self):
+        """P_next = P breaks P_next >= P + 1 and is reported as
+        successor_equal.  The member order facts say only P > 1 and
+        P_next > P; with P_next >= P + 1 among them, that fact would reduce
+        to the constant -1 >= 0 and fire member_nonpositive vacuously."""
+        symbols = {"P": Sym("P", "s_member", set_tag="p"),
+                   "P_next": Sym("P_next", "s_successor", base="P")}
+        v = solve(RelationSystem(symbols,
+                                 [Relation(lin({"P_next": 1, "P": -1}), "r")]))
+        assert isinstance(v, Infeasible)
+        assert v.rule == "successor_equal"
+        assert v.certificate.equation == lin({"P_next": 1, "P": -1})
+        assert v.certificate.human == "P_next = P is forced"
 
     def test_underdetermined_lists_parameters(self):
         system = RelationSystem(
@@ -413,33 +428,55 @@ class TestFixtureTables:
         with pytest.raises(KeyError):
             run_fixture("nope")
 
-    @staticmethod
-    def unread_keys(registry: dict) -> set:
-        """Keys of symbol and relation entries that `fixtures._sym` and
-        `fixtures._relations` do not read."""
+    # the keys `fixtures` reads in each kind of registry entry
+    READ_KEYS = {
+        "fixture": {"title", "symbols", "base_relations", "families",
+                    "case_families", "disjuncts", "expected"},
+        "expected": {"survivors", "solutions"},
+        "family": {"labels", "elements"},
+        "symbol": {"kind", "set_tag", "base"},
+        "relation": {"coeffs", "label"},
+    }
+
+    @classmethod
+    def unread_keys(cls, registry: dict) -> set:
+        """Keys of fixture, expected-table, family, symbol and relation
+        entries that `fixtures` does not read."""
+        read = cls.READ_KEYS
         out = set()
         for fx in registry["fixtures"].values():
-            for sym in fx["symbols"].values():
-                out |= set(sym) - {"kind", "set_tag", "base"}
+            out |= set(fx) - read["fixture"]
+            out |= set(fx["expected"]) - read["expected"]
             families = [*fx["families"].values(),
-                        *fx.get("extra_families", {}).values()]
+                        *([fx["disjuncts"]] if "disjuncts" in fx else [])]
+            for fam in families:
+                out |= set(fam) - read["family"]
+            for sym in fx["symbols"].values():
+                out |= set(sym) - read["symbol"]
             relations = [*fx.get("base_relations", ()),
                          *(r for fam in families for element in fam["elements"]
                            for r in element)]
             for r in relations:
-                out |= set(r) - {"coeffs", "label"}
+                out |= set(r) - read["relation"]
         return out
 
     def test_registry_uses_only_keys_the_loader_reads(self):
-        """A symbol's side constraint follows from its kind and every
-        relation holds up to eps, so a key such as "integer" or "eps" would
-        be ignored without a word; the registry carries none."""
+        """A symbol's side constraint follows from its kind, every relation
+        holds up to eps, an absent survivor list expects every case to die,
+        and a fixture's disjuncts are one family, so a key such as
+        "integer", "eps", "all_infeasible", "disjunction" or
+        "extra_families" would be ignored without a word; the registry
+        carries none."""
         registry = load_registry()
         assert self.unread_keys(registry) == set()
         fx = registry["fixtures"]["typB"]
         fx["symbols"]["P"]["integer"] = False
         fx["families"][fx["case_families"][0]]["elements"][0][0]["eps"] = 2
-        assert self.unread_keys(registry) == {"integer", "eps"}
+        fx["expected"]["all_infeasible"] = False
+        fx["disjunction"] = "b_disj"
+        fx["extra_families"] = {"b_disj": fx.pop("disjuncts")}
+        assert self.unread_keys(registry) == {
+            "integer", "eps", "all_infeasible", "disjunction", "extra_families"}
 
     def test_run_all(self):
         results = run_all()
@@ -450,7 +487,7 @@ class TestFixtureTables:
         """A case whose disjuncts are all infeasible reports the rule that
         ranks first among theirs, as a pair reports across its scenarios."""
         fx = load_registry()["fixtures"][name]
-        assert "disjunction" in fx
+        assert "disjuncts" in fx
         checked = 0
         for row in run_fixture(name).rows:
             if row.verdict.feasible:

@@ -289,3 +289,29 @@ class TestJsonLoading:
         s = orbit_set_from_dict(doc)
         assert s.multiplicity("gamma") == 2
         assert s.homology_class() == (0,)  # 2*1 + 1*2 = 4 = 0 mod 4
+
+    @pytest.mark.parametrize("mult", [2.5, 2.0, True, "2"])
+    def test_inexact_multiplicity_rejected(self, mult):
+        """A JSON float was truncated (2.5 became 2), and a boolean counted
+        as 1."""
+        with pytest.raises(ValueError, match="multiplicity of gamma"):
+            orbit_set_from_dict(dict(self.DOC, items={"gamma": mult, "d1": 1}))
+
+    @pytest.mark.parametrize("value", [0.1, 1.0, True, None])
+    def test_inexact_action_rejected(self, value):
+        """A JSON float was taken as its binary value: 0.1 became
+        3602879701896397/36028797018963968."""
+        orbits = [dict(self.DOC["orbits"][0], action=value), self.DOC["orbits"][1]]
+        with pytest.raises(ValueError, match="action of gamma"):
+            catalog_from_dict(dict(self.DOC, orbits=orbits))
+
+    @pytest.mark.parametrize("value", [100.0, 0.5, False])
+    def test_inexact_complete_below_rejected(self, value):
+        with pytest.raises(ValueError, match="complete_below"):
+            catalog_from_dict(dict(self.DOC, complete_below=value))
+
+    def test_exact_values_accepted(self):
+        orbits = [dict(self.DOC["orbits"][0], action=3), self.DOC["orbits"][1]]
+        cat = catalog_from_dict(dict(self.DOC, orbits=orbits, complete_below="1/10"))
+        assert cat.get("gamma").action == 3
+        assert cat.complete_below == Fraction(1, 10)

@@ -14,9 +14,9 @@ from echkit.linear import (
     Row,
     _eval,
     fm_solve,
-    scale_expr,
     sub_expr,
 )
+from oracles import scale_expr
 
 SYMS = ["a", "b", "c", "d", "e"]
 LABELS = [f"r{i}" for i in range(6)]

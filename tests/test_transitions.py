@@ -23,7 +23,7 @@ from echkit.feasibility import (
     rule_rank,
     solve,
 )
-from echkit.linear import CONST, lin, scale_expr, sub_expr
+from echkit.linear import CONST, lin, sub_expr
 from echkit.transitions import (
     ALLOWED_PAIRS,
     EXCLUDED_PAIRS,
@@ -37,6 +37,7 @@ from echkit.transitions import (
     mirror,
     pair_report,
 )
+from oracles import scale_expr
 
 EXPECTED_ALLOWED = {
     ("b", "a"), ("a", "b'"), ("b", "b'"), ("c", "b'"), ("a'", "b'"),
@@ -77,8 +78,8 @@ def report():
 
 
 @pytest.fixture(scope="module")
-def chains():
-    return chain_check()
+def chains(report):
+    return chain_check(report.allowed)
 
 
 class TestProfiles:
@@ -262,18 +263,9 @@ class TestScenarioSystems:
                 fresh, key=lambda v: rule_rank(v.rule))
             assert verdict_fields(decide(systems)) == verdict_fields(want)
 
-    def test_pair_report_work_counts(self, monkeypatch):
-        """Deterministic work of the pair table: one solve per scenario run
-        until a pair turns feasible (2,650 when every opposite-set view pair
-        split into a "distinct" and a "both gaps 1" branch), each shared
-        relation prefix eliminated once per pair (21,538 adds when every
-        system was eliminated alone), one rule stage per distinct system
-        after elimination in a pair (one per solve, 1,874, before the stage
-        was memoised), one certificate per excluded pair, built when the
-        table reads it (2,638 when every infeasible scenario built its own),
-        with its text (1,853 texts when each fired rule built one), and one
-        Fourier-Motzkin call per member-order, side-constraint or escape
-        question a rule stage leaves open (364 with a stage per solve)."""
+    @staticmethod
+    def count_work(monkeypatch) -> Counter:
+        """Count calls of the engine's units of work from now on."""
         counts = Counter()
 
         def counted(name, fn):
@@ -293,14 +285,49 @@ class TestScenarioSystems:
                             counted("fm_solve", feasibility.fm_solve))
         monkeypatch.setattr(feasibility, "expr_str",
                             counted("expr_str", feasibility.expr_str))
+        return counts
+
+    def test_pair_report_work_counts(self, monkeypatch):
+        """Deterministic work of the pair table: one solve per scenario run
+        until a pair turns feasible (2,650 when every opposite-set view pair
+        split into a "distinct" and a "both gaps 1" branch), each shared
+        relation prefix eliminated once per pair (21,538 adds when every
+        system was eliminated alone), one rule stage per distinct system
+        after elimination in a pair (one per solve, 1,874, before the stage
+        was memoised), one certificate per excluded pair, built when the
+        table reads it (2,638 when every infeasible scenario built its own),
+        with its text (1,853 texts when each fired rule built one), and one
+        Fourier-Motzkin call per member-order, side-constraint or escape
+        question a rule stage asks before a rule fires in rank order (364
+        with a stage per solve, 308 when each stage ran every check that
+        could still beat the best rule found so far)."""
+        counts = self.count_work(monkeypatch)
         report = pair_report()
-        work = {"solve": 1874, "add": 2278, "stage": 220, "fm_solve": 308}
+        work = {"solve": 1874, "add": 2278, "stage": 220, "fm_solve": 306}
         # no rule's text is built before its certificate is read
         assert counts == work
         for v in report.verdicts.values():
             if not v.feasible:
                 assert v.certificate is v.certificate
         assert counts == {**work, "expr_str": 24, "certificate": 24}
+
+    def test_fixture_work_counts(self, monkeypatch):
+        """The same work for every fixture case: a rule stage that stops at
+        the first rule to fire in rank order asks 318 Fourier-Motzkin
+        questions (414 when each stage ran every check that could still beat
+        the best rule found so far)."""
+        counts = self.count_work(monkeypatch)
+        fixtures.run_all()
+        assert counts == {"solve": 264, "add": 974, "stage": 233, "fm_solve": 318}
+
+    def test_zero_rules_rank_directly_above_their_nonpositive_rules(self):
+        """The rule stage reaches a nonpositive check only after the zero
+        check of the same expression found it nonzero, and reuses that
+        check's row."""
+        for zero, nonpositive in [*feasibility._SIGN_RULES.values(),
+                                  feasibility._GAP_RULES]:
+            assert zero in feasibility._RULE_PRIORITY
+            assert rule_rank(nonpositive) == rule_rank(zero) + 1
 
     @pytest.mark.parametrize("triple", DIGEST_CHAINS)
     def test_chain_certificates_replay(self, triple):
